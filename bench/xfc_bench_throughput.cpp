@@ -18,7 +18,7 @@
 #include "data/dataset.hpp"
 #include "encode/huffman.hpp"
 #include "encode/miniflate.hpp"
-#include "nn/attention.hpp"
+#include "nn/autodiff.hpp"
 #include "nn/graph.hpp"
 #include "nn/optimizer.hpp"
 #include "predict/lorenzo.hpp"
@@ -190,12 +190,21 @@ int main(int argc, char** argv) {
     // channels, reduction 8): per-plane avg/max pooling + shared MLP +
     // sigmoid rescale — the reduction-bound stage of CFNN forward.
     Rng arng(6);
-    nn::ChannelAttention attn(96, 8, arng);
-    nn::Tensor ax(1, 96, 128, 128);
+    const std::size_t c = 96, mid = c / 8;
+    nn::Model attn;
+    auto& w1 = attn.add_xavier(mid * c, c, mid, arng);
+    auto& b1 = attn.add(mid);
+    auto& w2 = attn.add_xavier(c * mid, mid, c, arng);
+    auto& b2 = attn.add(c);
+    nn::Tensor ax(1, c, 128, 128);
     for (auto& v : ax.vec()) v = static_cast<float>(arng.normal());
     nn::Graph ag(nn::Graph::Mode::kInfer);
-    const nn::NodeRef ain = ag.input({1, 96, 128, 128});
-    attn.append(ag, ain);
+    const nn::NodeRef ain = ag.input({1, c, 128, 128});
+    const nn::NodeRef aw1 = ag.param(w1, {mid, c, 1, 1});
+    const nn::NodeRef ab1 = ag.param(b1, {1, mid, 1, 1});
+    const nn::NodeRef aw2 = ag.param(w2, {c, mid, 1, 1});
+    const nn::NodeRef ab2 = ag.param(b2, {1, c, 1, 1});
+    ag.channel_attention(ain, aw1, ab1, aw2, ab2, 8);
     nn::GraphExec aexec(ag, nn::tls_workspace());
     aexec.bind(ain, ax.data());
     json.add("channel_attention",
@@ -224,7 +233,7 @@ int main(int argc, char** argv) {
     nn::Graph tg(nn::Graph::Mode::kTrain);
     const nn::NodeRef tin = tg.input({16, 4, 32, 32});
     const nn::NodeRef ttgt = tg.input({16, 3, 32, 32});
-    tg.mse_loss(model.net().append(tg, tin), ttgt);
+    tg.mse_loss(model.append(tg, tin), ttgt);
     nn::GraphExec texec(tg, nn::tls_workspace());
     texec.bind(tin, xb.data());
     texec.bind(ttgt, tb.data());

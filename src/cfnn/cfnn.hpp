@@ -16,15 +16,20 @@
 /// Normalisation statistics are part of the model: the CFNN is trained on
 /// normalised *original* values, so one model serves every error bound
 /// (paper §III-D.2) — the stream embeds model + statistics.
+///
+/// The network is fixed: its weights live in an nn::Model parameter bag,
+/// append() is the one graph definition (inference, training and benches
+/// all build from it), and save_bytes/load_bytes write and check the
+/// frozen byte layout directly.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/field.hpp"
 #include "core/rng.hpp"
-#include "nn/sequential.hpp"
+#include "nn/autodiff.hpp"
+#include "nn/graph.hpp"
 #include "nn/tensor.hpp"
 
 namespace xfc {
@@ -50,10 +55,12 @@ struct ChannelNormalizer {
   void invert(nn::Tensor& t) const;   // in place: v * std + mean
 };
 
-/// A trained (or untrained) CFNN bundle: network + normalisers + geometry.
+/// A trained (or untrained) CFNN bundle: weights + normalisers + geometry.
 class CfnnModel {
  public:
-  /// Fresh model with Xavier-initialised weights.
+  /// Fresh model with Xavier-initialised weights and zero biases. Throws
+  /// InvalidArgument for a geometry load_bytes would reject (zero or
+  /// indivisible channels, even kernel, dimensions past the format caps).
   CfnnModel(std::size_t in_channels, std::size_t out_channels,
             const CfnnConfig& config, std::uint64_t seed);
 
@@ -61,21 +68,26 @@ class CfnnModel {
   std::size_t out_channels() const { return out_channels_; }
   const CfnnConfig& config() const { return config_; }
 
-  nn::Sequential& net() { return *net_; }
-  const nn::Sequential& net() const { return *net_; }
-
   ChannelNormalizer& input_norm() { return input_norm_; }
   ChannelNormalizer& output_norm() { return output_norm_; }
   const ChannelNormalizer& input_norm() const { return input_norm_; }
   const ChannelNormalizer& output_norm() const { return output_norm_; }
 
   /// Trainable parameter count (paper Table III "Model Size CFNN").
-  std::size_t param_count() const { return net_->param_count(); }
+  std::size_t param_count() const { return weights_.param_count(); }
+
+  /// Appends the network to `g` with `x` (N, in_channels, H, W) as input
+  /// and returns the output node (N, out_channels, H, W). The graph
+  /// captures this model's weight vectors, so the model must outlive it;
+  /// a kTrain graph hands them to the optimizer through Graph::params().
+  nn::NodeRef append(nn::Graph& g, nn::NodeRef x);
 
   /// Serialized size in bytes — what the compressed stream pays.
   std::size_t byte_size() const;
 
   std::vector<std::uint8_t> save_bytes() const;
+  /// Inverse of save_bytes. Throws CorruptStream unless the bytes hold
+  /// exactly the network the header's geometry implies, with nothing after.
   static CfnnModel load_bytes(std::span<const std::uint8_t> bytes);
 
   /// Full-field inference: consumes the (unnormalised) anchor difference
@@ -89,7 +101,7 @@ class CfnnModel {
 
   std::size_t in_channels_ = 0, out_channels_ = 0;
   CfnnConfig config_;
-  std::unique_ptr<nn::Sequential> net_;
+  nn::Model weights_;  // 12 tensors, order in cfnn.cpp
   ChannelNormalizer input_norm_, output_norm_;
 };
 

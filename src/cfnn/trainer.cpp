@@ -80,7 +80,7 @@ std::vector<double> train_cfnn(CfnnModel& model, const nn::Tensor& inputs,
   nn::Graph graph(nn::Graph::Mode::kTrain);
   const nn::NodeRef in = graph.input({options.batch, cin, P, P});
   const nn::NodeRef tgt = graph.input({options.batch, cout, P, P});
-  graph.mse_loss(model.net().append(graph, in), tgt);
+  graph.mse_loss(model.append(graph, in), tgt);
   nn::Workspace& ws = nn::tls_workspace();
   nn::GraphExec exec(graph, ws);
   exec.bind(in, x.data());
@@ -98,7 +98,7 @@ std::vector<double> train_cfnn(CfnnModel& model, const nn::Tensor& inputs,
         eval_graph->input({options.eval_patches, cin, P, P});
     const nn::NodeRef etgt =
         eval_graph->input({options.eval_patches, cout, P, P});
-    eval_graph->mse_loss(model.net().append(*eval_graph, ein), etgt);
+    eval_graph->mse_loss(model.append(*eval_graph, ein), etgt);
     eval_exec.emplace(*eval_graph, ws);
     eval_exec->bind(ein, eval_x.data());
     eval_exec->bind(etgt, eval_t.data());

@@ -7,16 +7,15 @@
 #include "core/utils.hpp"
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
-#include "nn/layers.hpp"
 
 namespace xfc::nn {
 
 // ---------------------------------------------------- backward kernels ----
 //
-// Verbatim ports of the pre-graph hand-written Layer::backward bodies. The
-// thread-count-determinism contract from graph.hpp applies throughout:
-// parallel loops write disjoint regions, and every cross-image reduction
-// into a parameter gradient happens serially in image order.
+// One reverse kernel per forward op in graph.cpp. The thread-count-
+// determinism contract from graph.hpp applies throughout: parallel loops
+// write disjoint regions, and every cross-image reduction into a parameter
+// gradient happens serially in image order.
 
 namespace {
 
@@ -29,43 +28,6 @@ void relu_backward(const float* x, const float* go, std::size_t n,
     for (std::size_t i = 0; i < n; ++i)
       if (x[i] > 0.0f) gx[i] += go[i];
   }
-}
-
-void bias_add_backward(const float* go, std::size_t B, std::size_t C,
-                       std::size_t hw, bool first, float* gx, float* gb) {
-  if (gx != nullptr) {
-    const std::size_t n = B * C * hw;
-    if (first) {
-      std::memcpy(gx, go, n * sizeof(float));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) gx[i] += go[i];
-    }
-  }
-  if (gb != nullptr) {
-    parallel_for_chunked(0, C, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        double acc = 0.0;
-        for (std::size_t b = 0; b < B; ++b) {
-          const float* p = go + (b * C + c) * hw;
-          for (std::size_t i = 0; i < hw; ++i) acc += p[i];
-        }
-        gb[c] += static_cast<float>(acc);
-      }
-    });
-  }
-}
-
-void matmul_backward(const float* x, const float* wts, const float* go,
-                     std::size_t B, std::size_t in, std::size_t out,
-                     bool first, float* gx, float* gw, float* gb) {
-  if (gx != nullptr)
-    sgemm(false, false, B, in, out, 1.0f, go, out, wts, in,
-          first ? 0.0f : 1.0f, gx, in);
-  if (gw != nullptr)
-    sgemm(true, false, out, in, B, 1.0f, go, out, x, in, 1.0f, gw, in);
-  if (gb != nullptr)
-    for (std::size_t b = 0; b < B; ++b)
-      for (std::size_t o = 0; o < out; ++o) gb[o] += go[b * out + o];
 }
 
 /// One (image, group) block of the conv backward: data gradient via the
@@ -354,16 +316,6 @@ void GraphExec::backprop(std::size_t i) {
                     in_grd(1), in_grd(2));
       break;
     }
-    case Op::kMatMul:
-      matmul_backward(in_val(0), in_val(1), go, nd.shape.n, nd.a0, nd.a1,
-                      first(0), in_grd(0), in_grd(1), in_grd(2));
-      break;
-    case Op::kBiasAdd: {
-      const GShape& xs = g_.nodes_[in_id(0)].shape;
-      bias_add_backward(go, xs.n, xs.c, xs.h * xs.w, first(0), in_grd(0),
-                        in_grd(1));
-      break;
-    }
     case Op::kReLU:
       if (in_grd(0) != nullptr)
         relu_backward(in_val(0), go, nd.shape.size(), first(0), in_grd(0));
@@ -442,25 +394,17 @@ CheckGradResult check_grad(Graph& g, GraphExec& exec,
   return res;
 }
 
-CheckGradResult check_grad(Model& m, Graph& g, GraphExec& exec,
-                           const CheckGradOptions& opts) {
-  (void)m;  // names are for the caller's diagnostics; same verification
-  return check_grad(g, exec, opts);
-}
-
 // ----------------------------------------------------------------- Model ----
 
-std::vector<float>& Model::add(const std::string& name, std::size_t size) {
-  values_.emplace_back(size, 0.0f);
-  names_.push_back(name);
-  return values_.back();
+std::vector<float>& Model::add(std::size_t size) {
+  return values_.emplace_back(size, 0.0f);
 }
 
-std::vector<float>& Model::add_xavier(const std::string& name,
-                                      std::size_t size, std::size_t fan_in,
+std::vector<float>& Model::add_xavier(std::size_t size, std::size_t fan_in,
                                       std::size_t fan_out, Rng& rng) {
-  std::vector<float>& v = add(name, size);
-  xavier_init(v, fan_in, fan_out, rng);
+  std::vector<float>& v = add(size);
+  const double limit = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
+  for (float& x : v) x = static_cast<float>(rng.uniform(-limit, limit));
   return v;
 }
 

@@ -11,15 +11,14 @@
 /// composed model — a new predictor is a graph definition plus one
 /// check_grad() call, not a hand-written backward plus a bespoke test.
 ///
-/// Model is the minimal named-parameter store for graph-first predictors
-/// that don't go through the legacy Layer shims: it owns the weight
-/// vectors (stable addresses), hands them to Graph::param, and gives
-/// check_grad names for error reporting.
+/// Model is the parameter bag of a graph-first predictor: it owns the
+/// weight vectors (stable addresses) and hands them to Graph::param, while
+/// the graph holds the structure. CfnnModel (cfnn/cfnn.hpp) is the in-tree
+/// instance.
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -54,19 +53,18 @@ struct CheckGradResult {
 CheckGradResult check_grad(Graph& g, GraphExec& exec,
                            const CheckGradOptions& opts = {});
 
-/// Owning, named parameter store for graph-first models.
+/// Owning parameter store for graph-first models.
 class Model {
  public:
   /// Adds a parameter tensor initialised to zero.
-  std::vector<float>& add(const std::string& name, std::size_t size);
-  /// Adds a parameter tensor with Xavier-uniform init (layers.hpp).
-  std::vector<float>& add_xavier(const std::string& name, std::size_t size,
-                                 std::size_t fan_in, std::size_t fan_out,
-                                 Rng& rng);
+  std::vector<float>& add(std::size_t size);
+  /// Adds a parameter tensor with Xavier/Glorot-uniform init.
+  std::vector<float>& add_xavier(std::size_t size, std::size_t fan_in,
+                                 std::size_t fan_out, Rng& rng);
 
   std::size_t size() const { return values_.size(); }
-  const std::string& name(std::size_t i) const { return names_[i]; }
   std::vector<float>& values(std::size_t i) { return values_[i]; }
+  const std::vector<float>& values(std::size_t i) const { return values_[i]; }
   /// Total scalar count across all parameters.
   std::size_t param_count() const;
 
@@ -74,15 +72,7 @@ class Model {
   // deque: Graph::param captures vector addresses, so growth must not move
   // previously added vectors.
   std::deque<std::vector<float>> values_;
-  std::vector<std::string> names_;
 };
-
-/// check_grad with Model-provided names: on failure the worst offender is
-/// reported as "<name>[elem]" in the returned struct's indices (param order
-/// in the graph matches Graph::param registration order, which for a Model
-/// built in add() order is the Model's own order).
-CheckGradResult check_grad(Model& m, Graph& g, GraphExec& exec,
-                           const CheckGradOptions& opts = {});
 
 }  // namespace xfc::nn
 

@@ -2,8 +2,8 @@
 #define XFC_NN_GEMM_HPP
 
 /// \file gemm.hpp
-/// Single-precision GEMM: the one compute kernel every NN layer lowers
-/// onto (Conv2D via im2col, Linear directly).
+/// Single-precision GEMM: the one compute kernel the graph's convolutions
+/// lower onto (via im2col; pointwise convs directly).
 ///
 /// All matrices are dense row-major. Computes
 ///   C = alpha * op(A) * op(B) + beta * C

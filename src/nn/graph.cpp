@@ -81,46 +81,6 @@ NodeRef Graph::conv2d(NodeRef x, NodeRef w, std::size_t out_channels,
   return push(n);
 }
 
-NodeRef Graph::matmul(NodeRef x, NodeRef w, std::size_t out_features,
-                      NodeRef bias) {
-  const Node& xn = at(x);
-  const Node& wn = at(w);
-  const std::size_t in_features = xn.shape.c * xn.shape.h * xn.shape.w;
-  expects(in_features > 0 && out_features > 0,
-          "Graph::matmul: zero-sized layer");
-  expects(wn.shape.size() == in_features * out_features,
-          "Graph::matmul: weight size mismatch");
-  Node n;
-  n.op = Op::kMatMul;
-  n.shape = {xn.shape.n, out_features, 1, 1};
-  n.in[0] = x.id;
-  n.in[1] = w.id;
-  n.a0 = in_features;
-  n.a1 = out_features;
-  n.needs_grad = xn.needs_grad || wn.needs_grad;
-  if (bias.valid()) {
-    const Node& bn = at(bias);
-    expects(bn.shape.size() == out_features,
-            "Graph::matmul: bias size mismatch");
-    n.in[2] = bias.id;
-    n.needs_grad = n.needs_grad || bn.needs_grad;
-  }
-  return push(n);
-}
-
-NodeRef Graph::bias_add(NodeRef x, NodeRef b) {
-  const Node& xn = at(x);
-  const Node& bn = at(b);
-  expects(bn.shape.size() == xn.shape.c, "Graph::bias_add: bias size mismatch");
-  Node n;
-  n.op = Op::kBiasAdd;
-  n.shape = xn.shape;
-  n.in[0] = x.id;
-  n.in[1] = b.id;
-  n.needs_grad = xn.needs_grad || bn.needs_grad;
-  return push(n);
-}
-
 NodeRef Graph::relu(NodeRef x) {
   const Node& xn = at(x);
   Node n;
@@ -196,9 +156,8 @@ std::size_t Graph::param_count() const {
 
 // ----------------------------------------------------- forward kernels ----
 //
-// These port the pre-graph layer kernels verbatim (same parallel structure,
-// same float op order) — the inference arithmetic is frozen, see the file
-// comment in graph.hpp.
+// Parallel structure and float op order are fixed — the inference
+// arithmetic is frozen, see the file comment in graph.hpp.
 
 namespace {
 
@@ -264,9 +223,9 @@ void attn_mlp_forward(const float* w1, const float* b1, const float* w2,
   }
 }
 
-/// Conv2D forward: one (image, group) GEMM block per task, bias in a second
-/// plane-parallel pass. Pointwise (k == 1) skips im2col — the input planes
-/// already are the column matrix.
+/// Convolution forward: one (image, group) GEMM block per task, bias in a
+/// second plane-parallel pass. Pointwise (k == 1) skips im2col — the input
+/// planes already are the column matrix.
 void conv_forward(const float* x, const float* wts, const float* bias,
                   std::size_t B, std::size_t in_ch, std::size_t H,
                   std::size_t W, std::size_t out_ch, std::size_t k,
@@ -308,31 +267,6 @@ void conv_forward(const float* x, const float* wts, const float* bias,
       }
     });
   }
-}
-
-/// MatMul (Linear) forward: Y = X W^T, then serial per-row bias.
-void matmul_forward(const float* x, const float* wts, const float* bias,
-                    std::size_t B, std::size_t in, std::size_t out,
-                    float* y) {
-  sgemm(false, true, B, out, in, 1.0f, x, in, wts, in, 0.0f, y, out);
-  if (bias != nullptr) {
-    for (std::size_t b = 0; b < B; ++b) {
-      float* yo = y + b * out;
-      for (std::size_t o = 0; o < out; ++o) yo[o] += bias[o];
-    }
-  }
-}
-
-void bias_add_forward(const float* x, const float* bias, std::size_t B,
-                      std::size_t C, std::size_t hw, float* y) {
-  parallel_for_chunked(0, B * C, 0, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t task = lo; task < hi; ++task) {
-      const float* in = x + task * hw;
-      float* out = y + task * hw;
-      const float bv = bias[task % C];
-      for (std::size_t i = 0; i < hw; ++i) out[i] = in[i] + bv;
-    }
-  });
 }
 
 void relu_forward(const float* x, std::size_t n, float* y) {
@@ -512,17 +446,6 @@ void GraphExec::eval(std::size_t i) {
       conv_forward(in_val(0), in_val(1),
                    nd.in[2] >= 0 ? in_val(2) : nullptr, xs.n, xs.c, xs.h,
                    xs.w, nd.shape.c, nd.a0, nd.a1, buf_[i]);
-      break;
-    }
-    case Op::kMatMul:
-      matmul_forward(in_val(0), in_val(1),
-                     nd.in[2] >= 0 ? in_val(2) : nullptr, nd.shape.n, nd.a0,
-                     nd.a1, buf_[i]);
-      break;
-    case Op::kBiasAdd: {
-      const GShape& xs = in_shape(0);
-      bias_add_forward(in_val(0), in_val(1), xs.n, xs.c, xs.h * xs.w,
-                       buf_[i]);
       break;
     }
     case Op::kReLU:

@@ -42,8 +42,9 @@
 namespace xfc::nn {
 
 /// One trainable parameter bundle: values and matching gradient. Values are
-/// owned by whoever built the graph (a Layer, a Model); gradients are owned
-/// by the Graph and accumulate across backward calls until zero_grad().
+/// owned by whoever built the graph (normally a Model); gradients are
+/// owned by the Graph and accumulate across backward calls until
+/// zero_grad().
 struct Param {
   std::vector<float>* value;
   std::vector<float>* grad;
@@ -66,8 +67,6 @@ enum class Op : std::uint8_t {
   kInput,             ///< externally bound activation (bind() before forward)
   kParam,             ///< trainable parameter leaf
   kConv2D,            ///< im2col+GEMM conv, odd k, "same" pad, groups; fused bias
-  kMatMul,            ///< x[B, in] * W^T[out, in] on flattened inputs; fused bias
-  kBiasAdd,           ///< standalone per-channel bias
   kReLU,              ///< elementwise max(0, x)
   kChannelAttention,  ///< CBAM pooling + shared MLP + sigmoid rescale composite
   kMseLoss,           ///< scalar mean-squared-error head
@@ -77,8 +76,8 @@ struct Node {
   Op op = Op::kInput;
   GShape shape;
   std::int32_t in[5] = {-1, -1, -1, -1, -1};  ///< input node ids
-  std::size_t a0 = 0, a1 = 0;  ///< op attrs (conv: kernel, groups; matmul:
-                               ///< in_features, out_features; attn: reduction)
+  std::size_t a0 = 0, a1 = 0;  ///< op attrs (conv: kernel, groups;
+                               ///< attn: reduction)
   bool needs_grad = false;     ///< on a path from a trainable param
   std::size_t aux_floats = 0, aux_ints = 0;  ///< per-exec op scratch
   std::vector<float>* value = nullptr;       ///< kParam only: weight storage
@@ -112,14 +111,6 @@ class Graph {
   /// Weight layout [out_ch][in_ch/groups][k][k]; optional fused bias.
   NodeRef conv2d(NodeRef x, NodeRef w, std::size_t out_channels,
                  std::size_t kernel, std::size_t groups, NodeRef bias = {});
-
-  /// Fully connected on flattened (N, C*H*W) inputs; weight [out][in];
-  /// optional fused bias. Output shape (N, out, 1, 1).
-  NodeRef matmul(NodeRef x, NodeRef w, std::size_t out_features,
-                 NodeRef bias = {});
-
-  /// Standalone per-channel bias (b has x.c entries).
-  NodeRef bias_add(NodeRef x, NodeRef b);
 
   NodeRef relu(NodeRef x);
 
@@ -188,7 +179,7 @@ class GraphExec {
   void forward();
 
   /// Value of the kMseLoss root from the last forward() (double-precision
-  /// accumulation, like the legacy loss).
+  /// accumulation).
   double loss() const { return loss_; }
 
   /// Reverse sweep from the kMseLoss root (train mode). Parameter

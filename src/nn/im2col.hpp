@@ -6,7 +6,7 @@
 ///
 /// im2col rewrites one (image, group) input block [icg][H][W] as a column
 /// matrix col[icg*k*k][H*W]: row (ic*k + ky)*k + kx holds, for each output
-/// pixel, the input value the (ky, kx) weight tap reads. Conv2D then
+/// pixel, the input value the (ky, kx) weight tap reads. A convolution then
 /// becomes one GEMM per (image, group):
 ///   forward        Y  = W    (ocg x icg*k*k) * col               (beta 0)
 ///   input grad     dC = W^T  (icg*k*k x ocg) * dY, then col2im   (beta 0)
@@ -33,8 +33,9 @@ void im2col(const float* src, std::size_t icg, std::size_t h, std::size_t w,
             std::size_t k, float* col);
 
 /// Scatter-add inverse of im2col: accumulates col[icg*k*k][H*W] back into
-/// dst[icg][H][W]. dst must be zero-initialised by the caller (Conv2D
-/// accumulates several groups' contributions into one gradient tensor).
+/// dst[icg][H][W]. dst must be zero-initialised by the caller (the conv
+/// backward accumulates several groups' contributions into one gradient
+/// tensor).
 void col2im(const float* col, std::size_t icg, std::size_t h, std::size_t w,
             std::size_t k, float* dst);
 
@@ -45,7 +46,8 @@ Tensor conv2d_ref_forward(const Tensor& x, const std::vector<float>& weight,
                           std::size_t k, std::size_t groups);
 
 /// Naive reference backward. Accumulates (+=) into grad_weight/grad_bias
-/// like Conv2D::backward does; grad_bias may be null. Returns dL/dx.
+/// like the graph's conv backward does; grad_bias may be null. Returns
+/// dL/dx.
 Tensor conv2d_ref_backward(const Tensor& x, const Tensor& grad_out,
                            const std::vector<float>& weight,
                            std::size_t out_ch, std::size_t k,

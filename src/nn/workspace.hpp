@@ -18,7 +18,8 @@
 ///   float* buf = ws.acquire(n);      // valid until scope exit
 ///
 /// Each thread owns its arena (tls_workspace), so pool workers never
-/// contend; nested scopes (Sequential -> Conv2D -> sgemm) stack cleanly.
+/// contend; nested scopes (GraphExec -> conv kernel -> sgemm) stack
+/// cleanly.
 
 #include <cstddef>
 #include <cstdint>

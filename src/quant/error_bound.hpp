@@ -7,6 +7,7 @@
 /// given directly or derived from the field's value range (relative mode,
 /// the mode used throughout the paper's evaluation).
 
+#include <cmath>
 #include <cstdint>
 
 #include "core/error.hpp"
@@ -22,7 +23,8 @@ class ErrorBound {
  public:
   ErrorBound() = default;
   ErrorBound(ErrorBoundMode mode, double value) : mode_(mode), value_(value) {
-    expects(value > 0.0, "ErrorBound: bound must be positive");
+    expects(value > 0.0 && std::isfinite(value),
+            "ErrorBound: bound must be positive and finite");
   }
 
   static ErrorBound absolute(double value) {
@@ -38,10 +40,16 @@ class ErrorBound {
   /// Resolves to an absolute bound for a field with the given value range.
   /// A constant field (range == 0) in relative mode degenerates to treating
   /// the bound value as absolute, keeping the pipeline well-defined
-  /// without demanding absurd precision.
+  /// without demanding absurd precision. A relative bound throws
+  /// InvalidArgument for a non-finite range (a field holding Inf) or when
+  /// it resolves to a non-finite value: no reader accepts such a bound, so
+  /// no writer may record one.
   double absolute_for(double value_range) const {
     if (mode_ == ErrorBoundMode::kAbsolute) return value_;
+    expects(std::isfinite(value_range),
+            "ErrorBound: value range is not finite (non-finite input?)");
     const double abs_eb = value_ * value_range;
+    expects(std::isfinite(abs_eb), "ErrorBound: resolved bound is not finite");
     return abs_eb > 0.0 ? abs_eb : value_;
   }
 

@@ -633,8 +633,9 @@ HttpResponse ArchiveService::handle_ingest(const std::string& field_name,
     else if (key == "eb") {
       char* end = nullptr;
       eb = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || std::isnan(eb) || eb <= 0)
-        return fail(400, "eb must be a positive number\n");
+      if (end == value.c_str() || *end != '\0' || !std::isfinite(eb) ||
+          eb <= 0)
+        return fail(400, "eb must be a positive finite number\n");
     }
   }
   ArchiveFieldOptions options;

@@ -273,7 +273,8 @@ std::vector<std::uint8_t> zfp_compress(const Field& field,
                                        const ZfpOptions& options,
                                        SzStats* stats) {
   expects(!field.array().empty(), "zfp_compress: empty field");
-  expects(options.tolerance > 0.0, "zfp_compress: tolerance must be positive");
+  expects(options.tolerance > 0.0 && std::isfinite(options.tolerance),
+          "zfp_compress: tolerance must be positive and finite");
   const Shape& shape = field.shape();
   const std::size_t ndim = shape.ndim();
 

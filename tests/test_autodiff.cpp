@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,38 +20,31 @@
 #include "cfnn/cfnn.hpp"
 #include "cfnn/trainer.hpp"
 #include "core/rng.hpp"
-#include "nn/attention.hpp"
 #include "nn/autodiff.hpp"
-#include "nn/conv2d.hpp"
 #include "nn/graph.hpp"
 #include "nn/im2col.hpp"
-#include "nn/layers.hpp"
-#include "nn/sequential.hpp"
+#include "nn_test_util.hpp"
 
 namespace xfc::nn {
 namespace {
 
-Tensor random_tensor(std::size_t n, std::size_t c, std::size_t h,
-                     std::size_t w, Rng& rng, double scale = 1.0) {
-  Tensor t(n, c, h, w);
-  for (auto& v : t.vec()) v = static_cast<float>(rng.normal(0.0, scale));
-  return t;
-}
+using test::attention;
+using test::conv;
+using test::random_tensor;
 
-/// Builds a kTrain graph `pred = build(g, in, rng, keep, m)` with an MSE
-/// root against a random target and runs check_grad on it. `keep` and `m`
-/// give the builder parameter storage that outlives the graph and exec.
+/// Builds a kTrain graph `pred = build(g, in, rng, m)` with an MSE root
+/// against a random target and runs check_grad on it. `m` gives the
+/// builder parameter storage that outlives the graph and exec.
 template <typename BuildFn>
 CheckGradResult check_op(const GShape& in_shape, std::uint64_t seed,
                          const CheckGradOptions& opts, BuildFn&& build) {
   Model m;
-  std::vector<std::unique_ptr<Layer>> keep;
   Rng rng(seed);
   Tensor x = random_tensor(in_shape.n, in_shape.c, in_shape.h, in_shape.w,
                            rng);
   Graph g(Graph::Mode::kTrain);
   const NodeRef in = g.input(in_shape);
-  const NodeRef pred = build(g, in, rng, keep, m);
+  const NodeRef pred = build(g, in, rng, m);
   const GShape os = g.shape(pred);
   Tensor target = random_tensor(os.n, os.c, os.h, os.w, rng);
   const NodeRef tgt = g.input(os);
@@ -68,86 +60,46 @@ CheckGradResult check_op(const GShape& in_shape, std::uint64_t seed,
   return r;
 }
 
-std::vector<float>& random_param(Model& m, const char* name, std::size_t n,
-                                 Rng& rng, double scale = 1.0) {
-  auto& v = m.add(name, n);
-  for (auto& e : v) e = static_cast<float>(rng.normal(0.0, scale));
+std::vector<float>& random_param(Model& m, std::size_t n, Rng& rng) {
+  auto& v = m.add(n);
+  for (auto& e : v) e = static_cast<float>(rng.normal());
   return v;
-}
-
-TEST(CheckGrad, MatMulWithBias) {
-  check_op({3, 6, 1, 1}, 0xA1, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Linear>(6, 4, true, rng));
-             return keep.back()->append(g, in);
-           });
-}
-
-TEST(CheckGrad, MatMulNoBias) {
-  check_op({2, 5, 1, 1}, 0xA2, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
-             auto& w = random_param(m, "w", 3 * 5, rng);
-             return g.matmul(in, g.param(w, {3, 5, 1, 1}), 3);
-           });
-}
-
-TEST(CheckGrad, MatMulOnFlattenedPlanes) {
-  // matmul flattens (N, C, H, W) -> (N, C*H*W): in_features = 2*3*4 = 24.
-  check_op({2, 2, 3, 4}, 0xA3, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
-             auto& w = random_param(m, "w", 5 * 24, rng, 0.2);
-             auto& b = random_param(m, "b", 5, rng);
-             return g.matmul(in, g.param(w, {5, 24, 1, 1}), 5,
-                             g.param(b, {1, 5, 1, 1}));
-           });
-}
-
-TEST(CheckGrad, BiasAddStandalone) {
-  check_op({2, 3, 4, 5}, 0xA4, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto&, Model& m) {
-             auto& b = random_param(m, "b", 3, rng);
-             return g.bias_add(in, g.param(b, {1, 3, 1, 1}));
-           });
 }
 
 TEST(CheckGrad, ReLUOnParam) {
   // ReLU directly over a trainable tensor: the masked gradient path.
   check_op({1, 1, 1, 1}, 0xA5, {},
-           [](Graph& g, NodeRef, Rng& rng, auto&, Model& m) {
-             auto& p = random_param(m, "p", 2 * 3 * 4 * 5, rng);
+           [](Graph& g, NodeRef, Rng& rng, Model& m) {
+             auto& p = random_param(m, 2 * 3 * 4 * 5, rng);
              return g.relu(g.param(p, {2, 3, 4, 5}));
            });
 }
 
 TEST(CheckGrad, Conv2DKernel3) {
   check_op({2, 3, 5, 6}, 0xB1, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(3, 4, 3, 1, true, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return conv(g, m, in, 4, 3, 1, rng);
            });
 }
 
 TEST(CheckGrad, Conv2DKernel5) {
   check_op({2, 2, 7, 6}, 0xB2, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(2, 3, 5, 1, true, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return conv(g, m, in, 3, 5, 1, rng);
            });
 }
 
 TEST(CheckGrad, Conv2DGroupedBatched) {
   check_op({3, 6, 5, 7}, 0xB3, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(6, 4, 3, 2, true, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return conv(g, m, in, 4, 3, 2, rng);
            });
 }
 
 TEST(CheckGrad, Conv2DDepthwise) {
   check_op({2, 4, 5, 5}, 0xB4, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(4, 4, 3, 4, true, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return conv(g, m, in, 4, 3, 4, rng);
            });
 }
 
@@ -155,42 +107,32 @@ TEST(CheckGrad, Conv2DOnePixelPlanes) {
   // 1x1 spatial planes with k=3: the entire receptive field is padding
   // except the centre tap — exercises the im2col halo path degenerately.
   check_op({2, 3, 1, 1}, 0xB5, {},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<Conv2D>(3, 2, 3, 1, true, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return conv(g, m, in, 2, 3, 1, rng);
            });
 }
 
 TEST(CheckGrad, ChannelAttention) {
   check_op({2, 4, 5, 5}, 0xC1, {.tol = 2e-3},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<ChannelAttention>(4, 2, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return attention(g, m, in, 2, rng);
            });
 }
 
 TEST(CheckGrad, ChannelAttentionSingleChannel) {
   // c = 1, reduction = 1: mid = 1, the degenerate attention head.
   check_op({2, 1, 3, 4}, 0xC2, {.tol = 2e-3},
-           [](Graph& g, NodeRef in, Rng& rng, auto& keep, Model&) {
-             keep.push_back(std::make_unique<ChannelAttention>(1, 1, rng));
-             return keep.back()->append(g, in);
+           [](Graph& g, NodeRef in, Rng& rng, Model& m) {
+             return attention(g, m, in, 1, rng);
            });
 }
 
 TEST(CheckGrad, FullCfnnGraph) {
-  // The complete CFNN stack (conv -> relu -> separable -> attention ->
+  // The complete CFNN graph (conv -> relu -> separable -> attention ->
   // conv) through one check_grad call — the "universal test" a new
   // predictor gets for free.
   Rng rng(0xD1);
-  Sequential net;
-  net.add(std::make_unique<Conv2D>(3, 8, 3, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Conv2D>(8, 8, 3, 8, true, rng));
-  net.add(std::make_unique<Conv2D>(8, 8, 1, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<ChannelAttention>(8, 4, rng));
-  net.add(std::make_unique<Conv2D>(8, 2, 3, 1, true, rng));
+  CfnnModel net(3, 2, CfnnConfig{8, 4, 3}, 0xD1);
 
   Tensor x = random_tensor(2, 3, 8, 8, rng, 0.5);
   Tensor t = random_tensor(2, 2, 8, 8, rng, 0.5);
@@ -213,30 +155,31 @@ TEST(CheckGrad, FullCfnnGraph) {
 }
 
 TEST(CheckGrad, ModelRecipe) {
-  // The graph-first path with no Layer shims at all: Model owns named
-  // parameters, the graph is built inline, one check_grad verifies it.
+  // The graph-first recipe: Model owns the parameters, the graph is built
+  // inline (a two-layer MLP as 1x1 convs over 1x1 planes), one check_grad
+  // verifies it.
   Rng rng(0xD2);
   Model m;
-  auto& w1 = m.add_xavier("fc1.w", 4 * 6, 6, 4, rng);
-  auto& b1 = m.add("fc1.b", 4);
-  auto& w2 = m.add_xavier("fc2.w", 2 * 4, 4, 2, rng);
+  auto& w1 = m.add_xavier(4 * 6, 6, 4, rng);
+  auto& b1 = m.add(4);
+  auto& w2 = m.add_xavier(2 * 4, 4, 2, rng);
 
   Tensor x = random_tensor(3, 6, 1, 1, rng);
   Tensor t = random_tensor(3, 2, 1, 1, rng);
   Graph g(Graph::Mode::kTrain);
   const NodeRef in = g.input({3, 6, 1, 1});
-  NodeRef h = g.matmul(in, g.param(w1, {4, 6, 1, 1}), 4,
-                       g.param(b1, {1, 4, 1, 1}));
-  h = g.relu(h);
-  h = g.matmul(h, g.param(w2, {2, 4, 1, 1}), 2);
+  const NodeRef w1n = g.param(w1, {4, 6, 1, 1});
+  const NodeRef b1n = g.param(b1, {1, 4, 1, 1});
+  NodeRef h = g.relu(g.conv2d(in, w1n, 4, 1, 1, b1n));
+  h = g.conv2d(h, g.param(w2, {2, 4, 1, 1}), 2, 1, 1);
   const NodeRef tgt = g.input({3, 2, 1, 1});
   g.mse_loss(h, tgt);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.bind(tgt, t.data());
 
-  const CheckGradResult r = check_grad(m, g, exec);
-  EXPECT_TRUE(r.ok) << "worst offender " << m.name(r.worst_param) << "["
+  const CheckGradResult r = check_grad(g, exec);
+  EXPECT_TRUE(r.ok) << "worst offender param " << r.worst_param << "["
                     << r.worst_elem << "]";
   EXPECT_EQ(m.size(), 3u);
   EXPECT_EQ(g.params().size(), 3u);
@@ -262,15 +205,14 @@ TEST(GraphForward, ConvMatchesNaiveReference) {
       {1, 4, 6, 5, 2, 9, 7},  {3, 5, 3, 1, 1, 4, 11}, {1, 2, 3, 5, 1, 4, 1},
   };
   for (const Case& c : cases) {
-    Conv2D conv(c.in_ch, c.out_ch, c.k, c.groups, true, rng);
-    Tensor x = random_tensor(c.n, c.in_ch, c.h, c.w, rng);
-    const Tensor ref = conv2d_ref_forward(x, conv.weight(),
-                                          conv.bias().data(), c.out_ch, c.k,
-                                          c.groups);
-
+    Model m;
     Graph g(Graph::Mode::kInfer);
     const NodeRef in = g.input({c.n, c.in_ch, c.h, c.w});
-    const NodeRef out = conv.append(g, in);
+    const NodeRef out = conv(g, m, in, c.out_ch, c.k, c.groups, rng);
+    Tensor x = random_tensor(c.n, c.in_ch, c.h, c.w, rng);
+    const Tensor ref = conv2d_ref_forward(x, m.values(0), m.values(1).data(),
+                                          c.out_ch, c.k, c.groups);
+
     GraphExec exec(g, tls_workspace());
     exec.bind(in, x.data());
     exec.forward();
@@ -287,12 +229,14 @@ TEST(GraphForward, ConvMatchesNaiveReference) {
 TEST(GraphForward, AttentionMatchesNaiveReference) {
   Rng rng(0xE2);
   const std::size_t B = 2, C = 4, R = 2, H = 5, W = 6, mid = C / R;
-  ChannelAttention att(C, R, rng);
-  Tensor x = random_tensor(B, C, H, W, rng);
-
+  Model att;
   Graph g(Graph::Mode::kInfer);
   const NodeRef in = g.input({B, C, H, W});
-  const NodeRef out = att.append(g, in);
+  const NodeRef out = attention(g, att, in, R, rng);
+  Tensor x = random_tensor(B, C, H, W, rng);
+  const std::vector<float>&w1 = att.values(0), &b1 = att.values(1),
+                          &w2 = att.values(2), &b2 = att.values(3);
+
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.forward();
@@ -302,13 +246,13 @@ TEST(GraphForward, AttentionMatchesNaiveReference) {
   // descriptors, sigmoid of the sum, rescale.
   auto mlp = [&](const std::vector<double>& v, std::size_t b,
                  std::size_t c) {
-    double out_c = att.b2()[c];
+    double out_c = b2[c];
     for (std::size_t m = 0; m < mid; ++m) {
-      double h1 = att.b1()[m];
+      double h1 = b1[m];
       for (std::size_t i = 0; i < C; ++i)
-        h1 += static_cast<double>(att.w1()[m * C + i]) * v[b * C + i];
+        h1 += static_cast<double>(w1[m * C + i]) * v[b * C + i];
       h1 = std::max(0.0, h1);
-      out_c += static_cast<double>(att.w2()[c * mid + m]) * h1;
+      out_c += static_cast<double>(w2[c * mid + m]) * h1;
     }
     return out_c;
   };
@@ -341,14 +285,7 @@ TEST(GraphForward, TrainAndInferModesBitEqual) {
   // the arithmetic is identical — buffer recycling in kInfer must not
   // change a single bit of the output.
   Rng rng(0xE3);
-  Sequential net;
-  net.add(std::make_unique<Conv2D>(2, 6, 3, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Conv2D>(6, 6, 3, 6, true, rng));
-  net.add(std::make_unique<Conv2D>(6, 6, 1, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<ChannelAttention>(6, 2, rng));
-  net.add(std::make_unique<Conv2D>(6, 1, 3, 1, true, rng));
+  CfnnModel net(2, 1, CfnnConfig{6, 2, 3}, 0xE3);
   Tensor x = random_tensor(2, 2, 9, 7, rng);
 
   auto run = [&](Graph::Mode mode) {
@@ -375,11 +312,7 @@ TEST(GraphExecArena, SteadyStateTrainingReservesNothing) {
   // per-chunk im2col scratch lives on whichever pool thread runs the
   // chunk, and chunk placement varies with XFC_THREADS.
   Rng rng(0xF1);
-  Sequential net;
-  net.add(std::make_unique<Conv2D>(3, 8, 3, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<ChannelAttention>(8, 4, rng));
-  net.add(std::make_unique<Conv2D>(8, 2, 3, 1, true, rng));
+  CfnnModel net(3, 2, CfnnConfig{8, 4, 3}, 0xF1);
   Tensor x = random_tensor(4, 3, 16, 16, rng);
   Tensor t = random_tensor(4, 2, 16, 16, rng);
 

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "cfnn/cfnn.hpp"
 #include "cfnn/difference.hpp"
 #include "cfnn/trainer.hpp"
 #include "core/rng.hpp"
+#include "io/bytebuffer.hpp"
 
 namespace xfc {
 namespace {
@@ -149,6 +151,8 @@ TEST(CfnnModel, SaveLoadBitExactInference) {
   const auto y1 = model.infer(x);
   const auto bytes = model.save_bytes();
   const CfnnModel restored = CfnnModel::load_bytes(bytes);
+  EXPECT_EQ(restored.param_count(), model.param_count());
+  EXPECT_EQ(restored.save_bytes(), bytes);
   const auto y2 = restored.infer(x);
   ASSERT_EQ(y1.size(), y2.size());
   for (std::size_t i = 0; i < y1.size(); ++i)
@@ -168,9 +172,166 @@ TEST(CfnnModel, InferenceShapes) {
 TEST(CfnnModel, RejectsBadGeometry) {
   EXPECT_THROW(CfnnModel(0, 2, CfnnConfig{8, 4, 3}, 1), InvalidArgument);
   EXPECT_THROW(CfnnModel(4, 2, CfnnConfig{9, 4, 3}, 1), InvalidArgument);
+  EXPECT_THROW(CfnnModel(4, 2, CfnnConfig{8, 0, 3}, 1), InvalidArgument);
+  EXPECT_THROW(CfnnModel(4, 2, CfnnConfig{8, 4, 2}, 1), InvalidArgument);
+  // Past the format's channel cap: load_bytes would refuse the bytes.
+  EXPECT_THROW(CfnnModel(5000, 2, CfnnConfig{8, 4, 3}, 1), InvalidArgument);
   CfnnModel ok(4, 2, CfnnConfig{8, 4, 3}, 1);
   nn::Tensor wrong(1, 5, 8, 8);
   EXPECT_THROW(ok.infer(wrong), InvalidArgument);
+}
+
+// -- Hostile model bytes -------------------------------------------------
+//
+// Each blob below is what a cross-field stream with a valid CRC could
+// carry. load_bytes must refuse every one with CorruptStream, so a layer
+// stack that disagrees with the header never reaches infer, which sizes
+// its buffers from the header.
+
+/// Writes the model header for (in, out, c) with identity normalisers,
+/// then whatever `layers` appends.
+std::vector<std::uint8_t> model_bytes(
+    std::size_t in, std::size_t out, const CfnnConfig& c,
+    const std::function<void(ByteWriter&)>& layers) {
+  ByteWriter w;
+  w.varint(in);
+  w.varint(out);
+  w.varint(c.hidden_channels);
+  w.varint(c.attention_reduction);
+  w.varint(c.kernel);
+  for (std::size_t n : {in, out}) {
+    for (std::size_t i = 0; i < n; ++i) w.f32(0.0f);  // mean
+    for (std::size_t i = 0; i < n; ++i) w.f32(1.0f);  // stddev
+  }
+  layers(w);
+  return w.take();
+}
+
+void put_conv(ByteWriter& w, std::size_t in, std::size_t out, std::size_t k,
+              std::size_t groups) {
+  w.str("conv2d");
+  w.varint(in);
+  w.varint(out);
+  w.varint(k);
+  w.varint(groups);
+  w.u8(1);
+  for (std::size_t i = 0; i < out * (in / groups) * k * k; ++i)
+    w.f32(0.01f);
+  for (std::size_t i = 0; i < out; ++i) w.f32(0.0f);
+}
+
+/// The CFNN's seven layers for config `c`, the first conv reading
+/// `first_in` channels and the last writing `last_out`. Each layer is
+/// self-consistent, so only a check against the header catches channel
+/// counts the header does not claim.
+void put_cfnn_layers(ByteWriter& w, std::size_t first_in,
+                     std::size_t last_out, const CfnnConfig& c) {
+  const std::size_t h = c.hidden_channels, k = c.kernel;
+  const std::size_t mid = h / c.attention_reduction;
+  w.varint(7);
+  put_conv(w, first_in, h, k, 1);
+  w.str("relu");
+  put_conv(w, h, h, k, h);
+  put_conv(w, h, h, 1, 1);
+  w.str("relu");
+  w.str("channel_attention");
+  w.varint(h);
+  w.varint(c.attention_reduction);
+  for (std::size_t i = 0; i < 2 * mid * h + mid + h; ++i) w.f32(0.01f);
+  put_conv(w, h, last_out, k, 1);
+}
+
+const CfnnConfig kSmall{8, 4, 3};
+
+std::vector<std::uint8_t> valid_bytes() {
+  return model_bytes(2, 3, kSmall, [](ByteWriter& w) {
+    put_cfnn_layers(w, 2, 3, kSmall);
+  });
+}
+
+TEST(CfnnModelBytes, HandWrittenLayoutLoads) {
+  // Control for the cases below: the hand-written layout is the one
+  // save_bytes writes, byte for byte.
+  const auto bytes = valid_bytes();
+  const CfnnModel m = CfnnModel::load_bytes(bytes);
+  EXPECT_EQ(m.in_channels(), 2u);
+  EXPECT_EQ(m.out_channels(), 3u);
+  EXPECT_EQ(m.save_bytes(), bytes);
+  EXPECT_EQ(m.save_bytes().size(),
+            CfnnModel(2, 3, kSmall, 1).save_bytes().size());
+}
+
+TEST(CfnnModelBytes, RejectsEmptyLayerStack) {
+  const auto bytes =
+      model_bytes(2, 3, kSmall, [](ByteWriter& w) { w.varint(0); });
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, RejectsFirstConvInChannelMismatch) {
+  const auto bytes = model_bytes(2, 3, kSmall, [](ByteWriter& w) {
+    put_cfnn_layers(w, 3, 3, kSmall);
+  });
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, RejectsFinalConvOutChannelMismatch) {
+  const auto bytes = model_bytes(2, 3, kSmall, [](ByteWriter& w) {
+    put_cfnn_layers(w, 2, 2, kSmall);
+  });
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, UnknownLayerKindThrows) {
+  const auto bytes = model_bytes(2, 3, kSmall, [](ByteWriter& w) {
+    w.varint(7);
+    w.str("warp_drive");
+  });
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, RejectsExtraLayer) {
+  auto bytes = model_bytes(2, 3, kSmall, [](ByteWriter& w) {
+    put_cfnn_layers(w, 2, 3, kSmall);
+    w.str("relu");
+  });
+  const std::size_t count_at = 5 + 4 * (2 * 2 + 2 * 3);
+  ASSERT_EQ(bytes[count_at], 7);
+  bytes[count_at] = 8;
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, TruncatedModelThrows) {
+  auto bytes = valid_bytes();
+  bytes.resize(bytes.size() / 2);
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+  bytes.resize(3);  // inside the header
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, RejectsTrailingBytes) {
+  auto bytes = valid_bytes();
+  bytes.push_back(0);
+  EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+}
+
+TEST(CfnnModelBytes, RejectsHeaderConfigTheLayersContradict) {
+  // A well-formed stack for {8, 4, 3} behind a header claiming another
+  // reduction or kernel, or one no model can have.
+  for (const CfnnConfig header : {CfnnConfig{8, 2, 3}, CfnnConfig{8, 0, 3},
+                                  CfnnConfig{8, 4, 5}}) {
+    const auto bytes = model_bytes(2, 3, header, [](ByteWriter& w) {
+      put_cfnn_layers(w, 2, 3, kSmall);
+    });
+    EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream)
+        << header.attention_reduction << " " << header.kernel;
+  }
+  // Past the format caps (hidden width; a kernel whose weight count
+  // overflows 64 bits): refused from the header alone.
+  for (const CfnnConfig header :
+       {CfnnConfig{1u << 30, 1, 3}, CfnnConfig{8, 4, (1ull << 33) + 1}}) {
+    const auto bytes = model_bytes(2, 3, header, [](ByteWriter&) {});
+    EXPECT_THROW(CfnnModel::load_bytes(bytes), CorruptStream);
+  }
 }
 
 TEST(CfnnTraining, LossDecreasesOnLearnableRelation) {

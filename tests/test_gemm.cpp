@@ -1,8 +1,8 @@
 // Cross-checks for the lowered NN compute core: blocked SGEMM vs the naive
-// reference, im2col against its index definition, and the graph's
-// conv/matmul ops (im2col+GEMM forward, derived backward via
-// GraphExec::backward_from) against the retained naive kernels — across odd
-// shapes, groups > 1, batch > 1, and k in {1,3,5}.
+// reference, im2col against its index definition, and the graph's conv op
+// (im2col+GEMM forward, derived backward via GraphExec::backward_from)
+// against the retained naive kernels — across odd shapes, groups > 1,
+// batch > 1, and k in {1,3,5}.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "nn/conv2d.hpp"
+#include "nn/autodiff.hpp"
 #include "nn/gemm.hpp"
 #include "nn/graph.hpp"
 #include "nn/im2col.hpp"
-#include "nn/layers.hpp"
 #include "nn/workspace.hpp"
+#include "nn_test_util.hpp"
 
 namespace xfc::nn {
 namespace {
@@ -34,12 +34,7 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, double scale = 1.0) {
   return v;
 }
 
-Tensor random_tensor(std::size_t n, std::size_t c, std::size_t h,
-                     std::size_t w, Rng& rng) {
-  Tensor t(n, c, h, w);
-  for (auto& v : t.vec()) v = static_cast<float>(rng.normal());
-  return t;
-}
+using test::random_tensor;
 
 void check_sgemm(bool ta, bool tb, std::size_t m, std::size_t n,
                  std::size_t k, float alpha, float beta, Rng& rng) {
@@ -163,19 +158,20 @@ const ConvCase kConvCases[] = {
 TEST(Conv2DGemm, ForwardMatchesNaiveReference) {
   for (const ConvCase& cc : kConvCases) {
     Rng rng(200 + cc.in_ch + cc.out_ch + cc.k);
-    Conv2D conv(cc.in_ch, cc.out_ch, cc.k, cc.groups, /*bias=*/true, rng);
-    Tensor x = random_tensor(cc.batch, cc.in_ch, cc.h, cc.w, rng);
-
+    Model m;
     Graph g(Graph::Mode::kInfer);
     const NodeRef in = g.input({cc.batch, cc.in_ch, cc.h, cc.w});
-    const NodeRef out = conv.append(g, in);
+    const NodeRef out =
+        test::conv(g, m, in, cc.out_ch, cc.k, cc.groups, rng);
+    Tensor x = random_tensor(cc.batch, cc.in_ch, cc.h, cc.w, rng);
+
     GraphExec exec(g, tls_workspace());
     exec.bind(in, x.data());
     exec.forward();
     const float* got = exec.value(out);
 
-    const Tensor want = conv2d_ref_forward(x, conv.weight(),
-                                           conv.bias().data(), cc.out_ch,
+    const Tensor want = conv2d_ref_forward(x, m.values(0),
+                                           m.values(1).data(), cc.out_ch,
                                            cc.k, cc.groups);
     ASSERT_EQ(g.shape(out).size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)
@@ -186,14 +182,15 @@ TEST(Conv2DGemm, ForwardMatchesNaiveReference) {
 TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
   for (const ConvCase& cc : kConvCases) {
     Rng rng(300 + cc.in_ch + cc.out_ch + cc.k);
-    Conv2D conv(cc.in_ch, cc.out_ch, cc.k, cc.groups, /*bias=*/true, rng);
-    Tensor x = random_tensor(cc.batch, cc.in_ch, cc.h, cc.w, rng);
-    Tensor go = random_tensor(cc.batch, cc.out_ch, cc.h, cc.w, rng);
-
+    Model m;
     Graph g(Graph::Mode::kTrain);
     const NodeRef in =
         g.input({cc.batch, cc.in_ch, cc.h, cc.w}, /*needs_grad=*/true);
-    const NodeRef out = conv.append(g, in);
+    const NodeRef out =
+        test::conv(g, m, in, cc.out_ch, cc.k, cc.groups, rng);
+    Tensor x = random_tensor(cc.batch, cc.in_ch, cc.h, cc.w, rng);
+    Tensor go = random_tensor(cc.batch, cc.out_ch, cc.h, cc.w, rng);
+
     GraphExec exec(g, tls_workspace());
     exec.bind(in, x.data());
     exec.forward();
@@ -207,7 +204,7 @@ TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
     std::vector<float> gw_ref(cc.out_ch * icg * cc.k * cc.k, 0.0f);
     std::vector<float> gb_ref(cc.out_ch, 0.0f);
     const Tensor gx_ref = conv2d_ref_backward(
-        x, go, conv.weight(), cc.out_ch, cc.k, cc.groups, gw_ref,
+        x, go, m.values(0), cc.out_ch, cc.k, cc.groups, gw_ref,
         gb_ref.data());
 
     const float* gx = exec.grad(in);
@@ -218,62 +215,6 @@ TEST(Conv2DGemm, BackwardMatchesNaiveReference) {
       expect_near_rel((*params[0].grad)[i], gw_ref[i], "conv dW", i);
     for (std::size_t i = 0; i < gb_ref.size(); ++i)
       expect_near_rel((*params[1].grad)[i], gb_ref[i], "conv dB", i);
-  }
-}
-
-TEST(LinearGemm, ForwardBackwardMatchNaiveReference) {
-  Rng rng(400);
-  const std::size_t B = 5, in_f = 13, out_f = 7;
-  Linear lin(in_f, out_f, /*bias=*/true, rng);
-  Tensor x = random_tensor(B, in_f, 1, 1, rng);
-  Tensor go = random_tensor(B, out_f, 1, 1, rng);
-
-  Graph g(Graph::Mode::kTrain);
-  const NodeRef in = g.input({B, in_f, 1, 1}, /*needs_grad=*/true);
-  const NodeRef out = lin.append(g, in);
-  GraphExec exec(g, tls_workspace());
-  exec.bind(in, x.data());
-  exec.forward();
-
-  const float* y = exec.value(out);
-  const std::vector<float>& w = lin.weight();
-  const std::vector<float>& bias = lin.bias();
-  for (std::size_t b = 0; b < B; ++b)
-    for (std::size_t o = 0; o < out_f; ++o) {
-      double acc = bias[o];
-      for (std::size_t i = 0; i < in_f; ++i)
-        acc += static_cast<double>(w[o * in_f + i]) * x.vec()[b * in_f + i];
-      expect_near_rel(y[b * out_f + o], static_cast<float>(acc),
-                      "linear forward", b * out_f + o);
-    }
-
-  g.zero_grad();
-  exec.backward_from(out, go.data());
-  auto params = g.params();
-  ASSERT_EQ(params.size(), 2u);
-  const float* gx = exec.grad(in);
-  ASSERT_NE(gx, nullptr);
-  for (std::size_t b = 0; b < B; ++b)
-    for (std::size_t i = 0; i < in_f; ++i) {
-      double acc = 0.0;
-      for (std::size_t o = 0; o < out_f; ++o)
-        acc += static_cast<double>(go.vec()[b * out_f + o]) * w[o * in_f + i];
-      expect_near_rel(gx[b * in_f + i], static_cast<float>(acc), "linear dX",
-                      b * in_f + i);
-    }
-  for (std::size_t o = 0; o < out_f; ++o) {
-    for (std::size_t i = 0; i < in_f; ++i) {
-      double acc = 0.0;
-      for (std::size_t b = 0; b < B; ++b)
-        acc += static_cast<double>(go.vec()[b * out_f + o]) *
-               x.vec()[b * in_f + i];
-      expect_near_rel((*params[0].grad)[o * in_f + i],
-                      static_cast<float>(acc), "linear dW", o * in_f + i);
-    }
-    double gb = 0.0;
-    for (std::size_t b = 0; b < B; ++b) gb += go.vec()[b * out_f + o];
-    expect_near_rel((*params[1].grad)[o], static_cast<float>(gb), "linear dB",
-                    o);
   }
 }
 

@@ -132,5 +132,16 @@ TEST(Golden, InferPinCatchesAttentionSummationOrderChange) {
   EXPECT_EQ(cfnn_infer_crc(), kCfnnInferCrc);
 }
 
+TEST(Golden, CfnnModelBytesPinned) {
+  // Writer side of the frozen model layout (the cross-field archive above
+  // pins the reader side): a fresh model's bytes, Xavier draws included,
+  // and a load/save round trip that reproduces them exactly.
+  const CfnnModel model(3, 2, CfnnConfig{8, 4, 3}, 0xF00D);
+  const std::vector<std::uint8_t> bytes = model.save_bytes();
+  EXPECT_EQ(bytes.size(), 2380u);
+  EXPECT_EQ(Crc32::of(bytes), 0xe4b8fcbau);
+  EXPECT_EQ(CfnnModel::load_bytes(bytes).save_bytes(), bytes);
+}
+
 }  // namespace
 }  // namespace xfc

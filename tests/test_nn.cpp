@@ -1,38 +1,37 @@
-// Tests for the CNN framework: graph-built layer semantics,
-// finite-difference gradient checks, optimizer convergence, serialization.
-// (Op-level CheckGrad coverage lives in test_autodiff.cpp; these tests
-// exercise the Layer descriptors' graph definitions.)
+// Tests for the CNN framework's graph ops as a model uses them: op
+// semantics on hand-set weights, finite-difference checks of input and
+// parameter gradients, the MSE head, the parameter bag, and optimizer
+// convergence. (Op-level CheckGrad coverage lives in test_autodiff.cpp;
+// the CFNN's own graph and byte layout in test_cfnn.cpp.)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <functional>
 
+#include "cfnn/cfnn.hpp"
 #include "core/rng.hpp"
-#include "nn/attention.hpp"
-#include "nn/conv2d.hpp"
+#include "nn/autodiff.hpp"
 #include "nn/graph.hpp"
-#include "nn/layers.hpp"
-#include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/sequential.hpp"
+#include "nn_test_util.hpp"
 
 namespace xfc::nn {
 namespace {
 
-Tensor random_tensor(std::size_t n, std::size_t c, std::size_t h,
-                     std::size_t w, Rng& rng, double scale = 1.0) {
-  Tensor t(n, c, h, w);
-  for (auto& v : t.vec()) v = static_cast<float>(rng.normal(0.0, scale));
-  return t;
-}
+using test::attention;
+using test::conv;
+using test::random_tensor;
 
-/// Builds a one-layer inference graph and runs x through it.
-Tensor run_layer(Layer& layer, const Tensor& x) {
+/// Appends a network to `g` with `x` as input and returns its output.
+using BuildFn = std::function<NodeRef(Graph&, NodeRef)>;
+
+/// Builds an inference graph and runs x through it.
+Tensor run(const BuildFn& build, const Tensor& x) {
   Graph g(Graph::Mode::kInfer);
   const NodeRef in = g.input({x.n(), x.c(), x.h(), x.w()});
-  const NodeRef out = layer.append(g, in);
+  const NodeRef out = build(g, in);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.forward();
@@ -51,15 +50,15 @@ double probe_loss(const float* y, const Tensor& probe) {
   return s;
 }
 
-/// Checks dL/d(input) and dL/d(params) of a layer's graph definition
-/// against central finite differences, seeding backward with the probe.
-void check_gradients(Layer& layer, Tensor x, double tol = 2e-2,
+/// Checks dL/d(input) and dL/d(params) of a graph definition against
+/// central finite differences, seeding backward with the probe.
+void check_gradients(const BuildFn& build, Tensor x, double tol = 2e-2,
                      double fd_eps = 1e-3) {
   Rng rng(12345);
   Graph g(Graph::Mode::kTrain);
   const NodeRef in =
       g.input({x.n(), x.c(), x.h(), x.w()}, /*needs_grad=*/true);
-  const NodeRef out = layer.append(g, in);
+  const NodeRef out = build(g, in);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.forward();
@@ -119,21 +118,21 @@ TEST(Tensor, ShapeAndIndexing) {
   EXPECT_EQ(t.plane(1, 2)[3 * 5 + 4], 9.0f);
 }
 
-TEST(ReLULayer, ForwardClampsNegatives) {
-  ReLU relu;
+NodeRef relu_of(Graph& g, NodeRef in) { return g.relu(in); }
+
+TEST(ReLUOp, ForwardClampsNegatives) {
   Tensor x(1, 1, 1, 4);
   x.vec() = {-1.0f, 0.0f, 2.0f, -0.5f};
-  const Tensor y = run_layer(relu, x);
+  const Tensor y = run(relu_of, x);
   EXPECT_EQ(y.vec(), (std::vector<float>{0.0f, 0.0f, 2.0f, 0.0f}));
 }
 
-TEST(ReLULayer, BackwardMasks) {
-  ReLU relu;
+TEST(ReLUOp, BackwardMasks) {
   Tensor x(1, 1, 1, 4);
   x.vec() = {-1.0f, 0.5f, 2.0f, -3.0f};
   Graph g(Graph::Mode::kTrain);
   const NodeRef in = g.input({1, 1, 1, 4}, /*needs_grad=*/true);
-  const NodeRef out = relu.append(g, in);
+  const NodeRef out = g.relu(in);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.forward();
@@ -144,123 +143,120 @@ TEST(ReLULayer, BackwardMasks) {
             (std::vector<float>{0.0f, 1.0f, 1.0f, 0.0f}));
 }
 
-TEST(LinearLayer, KnownComputation) {
-  Rng rng(1);
-  Linear lin(2, 1, true, rng);
-  lin.weight() = {3.0f, -2.0f};
-  lin.bias() = {0.5f};
-  Tensor x(1, 2, 1, 1);
-  x.vec() = {4.0f, 1.0f};
-  const Tensor y = run_layer(lin, x);
-  EXPECT_FLOAT_EQ(y.vec()[0], 3.0f * 4.0f - 2.0f * 1.0f + 0.5f);
+/// Bias-free convolution with caller-set weights [out][in/groups][k][k].
+BuildFn fixed_conv(std::vector<float>& w, std::size_t out, std::size_t k,
+                   std::size_t groups) {
+  return [&w, out, k, groups](Graph& g, NodeRef in) {
+    const std::size_t icg = g.shape(in).c / groups;
+    return g.conv2d(in, g.param(w, {out, icg, k, k}), out, k, groups);
+  };
 }
 
-TEST(LinearLayer, GradientCheck) {
-  Rng rng(2);
-  Linear lin(6, 4, true, rng);
-  check_gradients(lin, random_tensor(3, 6, 1, 1, rng));
-}
-
-TEST(Conv2DLayer, IdentityKernelPassesThrough) {
+TEST(Conv2DOp, IdentityKernelPassesThrough) {
   Rng rng(3);
-  Conv2D conv(1, 1, 3, 1, false, rng);
-  std::fill(conv.weight().begin(), conv.weight().end(), 0.0f);
-  conv.weight()[4] = 1.0f;  // centre tap
+  std::vector<float> w(9, 0.0f);
+  w[4] = 1.0f;  // centre tap
   Tensor x = random_tensor(1, 1, 5, 7, rng);
-  const Tensor y = run_layer(conv, x);
+  const Tensor y = run(fixed_conv(w, 1, 3, 1), x);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y.vec()[i], x.vec()[i], 1e-6);
 }
 
-TEST(Conv2DLayer, KnownSmallConvolution) {
-  Rng rng(4);
-  Conv2D conv(1, 1, 3, 1, false, rng);
-  std::fill(conv.weight().begin(), conv.weight().end(), 1.0f);
+TEST(Conv2DOp, KnownSmallConvolution) {
+  std::vector<float> w(9, 1.0f);
   Tensor x(1, 1, 3, 3);
   for (std::size_t i = 0; i < 9; ++i) x.vec()[i] = 1.0f;
-  const Tensor y = run_layer(conv, x);
+  const Tensor y = run(fixed_conv(w, 1, 3, 1), x);
   // Centre sees all 9 ones, corner sees 4 (zero padding).
   EXPECT_FLOAT_EQ(y(0, 0, 1, 1), 9.0f);
   EXPECT_FLOAT_EQ(y(0, 0, 0, 0), 4.0f);
   EXPECT_FLOAT_EQ(y(0, 0, 0, 1), 6.0f);
 }
 
-TEST(Conv2DLayer, PointwiseMixesChannelsOnly) {
-  Rng rng(5);
-  Conv2D conv(2, 1, 1, 1, false, rng);
-  conv.weight() = {2.0f, -1.0f};
+TEST(Conv2DOp, PointwiseMixesChannelsOnly) {
+  std::vector<float> w{2.0f, -1.0f};
   Tensor x(1, 2, 2, 2);
   for (std::size_t i = 0; i < 4; ++i) x.plane(0, 0)[i] = 3.0f;
   for (std::size_t i = 0; i < 4; ++i) x.plane(0, 1)[i] = 5.0f;
-  const Tensor y = run_layer(conv, x);
+  const Tensor y = run(fixed_conv(w, 1, 1, 1), x);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_FLOAT_EQ(y.plane(0, 0)[i], 2.0f * 3.0f - 1.0f * 5.0f);
 }
 
-TEST(Conv2DLayer, DepthwiseKeepsChannelsIndependent) {
+TEST(Conv2DOp, DepthwiseKeepsChannelsIndependent) {
   Rng rng(6);
-  Conv2D conv(2, 2, 3, 2, false, rng);  // depthwise
   // Channel 0: identity; channel 1: zero.
-  std::fill(conv.weight().begin(), conv.weight().end(), 0.0f);
-  conv.weight()[4] = 1.0f;
+  std::vector<float> w(2 * 9, 0.0f);
+  w[4] = 1.0f;
   Tensor x = random_tensor(1, 2, 4, 4, rng);
-  const Tensor y = run_layer(conv, x);
+  const Tensor y = run(fixed_conv(w, 2, 3, 2), x);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(y.plane(0, 0)[i], x.plane(0, 0)[i], 1e-6);
     EXPECT_EQ(y.plane(0, 1)[i], 0.0f);
   }
 }
 
-TEST(Conv2DLayer, GradientCheckStandard) {
-  Rng rng(7);
-  Conv2D conv(3, 4, 3, 1, true, rng);
-  check_gradients(conv, random_tensor(2, 3, 5, 6, rng));
+/// Gradient check of one Xavier-initialised conv with bias on an
+/// (n, c, h, w) input.
+void check_conv(std::uint64_t seed, std::size_t out, std::size_t k,
+                std::size_t groups, std::size_t n, std::size_t c,
+                std::size_t h, std::size_t w) {
+  Rng rng(seed);
+  Model m;
+  check_gradients(
+      [&](Graph& g, NodeRef in) {
+        return conv(g, m, in, out, k, groups, rng);
+      },
+      random_tensor(n, c, h, w, rng));
 }
 
-TEST(Conv2DLayer, GradientCheckDepthwise) {
-  Rng rng(8);
-  Conv2D conv(4, 4, 3, 4, true, rng);
-  check_gradients(conv, random_tensor(2, 4, 5, 5, rng));
-}
+TEST(Conv2DOp, GradientCheckStandard) { check_conv(7, 4, 3, 1, 2, 3, 5, 6); }
 
-TEST(Conv2DLayer, GradientCheckGrouped) {
-  Rng rng(9);
-  Conv2D conv(4, 6, 3, 2, true, rng);
-  check_gradients(conv, random_tensor(1, 4, 6, 4, rng));
-}
+TEST(Conv2DOp, GradientCheckDepthwise) { check_conv(8, 4, 3, 4, 2, 4, 5, 5); }
 
-TEST(Conv2DLayer, GradientCheckPointwise) {
-  Rng rng(10);
-  Conv2D conv(5, 3, 1, 1, true, rng);
-  check_gradients(conv, random_tensor(2, 5, 4, 4, rng));
+TEST(Conv2DOp, GradientCheckGrouped) { check_conv(9, 6, 3, 2, 1, 4, 6, 4); }
+
+TEST(Conv2DOp, GradientCheckPointwise) {
+  check_conv(10, 3, 1, 1, 2, 5, 4, 4);
 }
 
 // The k=5 / batched-grouped cases route through every im2col+GEMM code
 // path (wide halo, grouped weight blocks, per-image weight-grad GEMMs).
 
-TEST(Conv2DLayer, GradientCheckKernel5) {
-  Rng rng(30);
-  Conv2D conv(2, 3, 5, 1, true, rng);
-  check_gradients(conv, random_tensor(2, 2, 7, 6, rng));
+TEST(Conv2DOp, GradientCheckKernel5) { check_conv(30, 3, 5, 1, 2, 2, 7, 6); }
+
+TEST(Conv2DOp, GradientCheckGroupedBatched) {
+  check_conv(31, 4, 3, 2, 3, 6, 5, 7);
 }
 
-TEST(Conv2DLayer, GradientCheckGroupedBatched) {
-  Rng rng(31);
-  Conv2D conv(6, 4, 3, 2, true, rng);
-  check_gradients(conv, random_tensor(3, 6, 5, 7, rng));
+TEST(Conv2DOp, RejectsBadHyperparameters) {
+  Graph g(Graph::Mode::kInfer);
+  const NodeRef in = g.input({1, 3, 5, 5});
+  std::vector<float> w_even(4 * 3 * 2 * 2), w_split(4 * 3 * 3 * 3);
+  const NodeRef even = g.param(w_even, {4, 3, 2, 2});
+  const NodeRef split = g.param(w_split, {4, 3, 3, 3});
+  EXPECT_THROW(g.conv2d(in, even, 4, 2, 1), InvalidArgument);   // even k
+  EXPECT_THROW(g.conv2d(in, split, 4, 3, 2), InvalidArgument);  // 3 % 2
 }
 
-TEST(Conv2DLayer, RejectsBadHyperparameters) {
-  Rng rng(11);
-  EXPECT_THROW(Conv2D(3, 4, 2, 1, true, rng), InvalidArgument);  // even k
-  EXPECT_THROW(Conv2D(3, 4, 3, 2, true, rng), InvalidArgument);  // 3 % 2
+TEST(Conv2DOp, NoBiasGradientCheck) {
+  Rng rng(21);
+  Model m;
+  check_gradients(
+      [&](Graph& g, NodeRef in) {
+        const NodeRef y = conv(g, m, in, 3, 3, 1, rng, /*bias=*/false);
+        EXPECT_EQ(g.params().size(), 1u);
+        return y;
+      },
+      random_tensor(1, 2, 5, 5, rng));
 }
 
-TEST(ChannelAttentionLayer, OutputIsScaledInput) {
+TEST(ChannelAttentionOp, OutputIsScaledInput) {
   Rng rng(12);
-  ChannelAttention att(4, 2, rng);
+  Model m;
   Tensor x = random_tensor(2, 4, 6, 6, rng);
-  const Tensor y = run_layer(att, x);
+  const Tensor y = run(
+      [&](Graph& g, NodeRef in) { return attention(g, m, in, 2, rng); }, x);
   // Each output plane must be a scalar multiple of its input plane,
   // with the scalar in (0, 1) (sigmoid output).
   for (std::size_t b = 0; b < 2; ++b)
@@ -279,46 +275,76 @@ TEST(ChannelAttentionLayer, OutputIsScaledInput) {
     }
 }
 
-TEST(ChannelAttentionLayer, GradientCheck) {
+TEST(ChannelAttentionOp, GradientCheck) {
   Rng rng(13);
-  ChannelAttention att(4, 2, rng);
-  check_gradients(att, random_tensor(2, 4, 5, 5, rng), 4e-2);
+  Model m;
+  check_gradients(
+      [&](Graph& g, NodeRef in) { return attention(g, m, in, 2, rng); },
+      random_tensor(2, 4, 5, 5, rng), 4e-2);
 }
 
-TEST(ChannelAttentionLayer, RejectsIndivisibleReduction) {
-  Rng rng(14);
-  EXPECT_THROW(ChannelAttention(5, 2, rng), InvalidArgument);
+TEST(ChannelAttentionOp, RejectsIndivisibleReduction) {
+  Graph g(Graph::Mode::kInfer);
+  const NodeRef in = g.input({1, 5, 4, 4});
+  std::vector<float> w1(2 * 5), b1(2), w2(5 * 2), b2(5);
+  const NodeRef n1 = g.param(w1, {2, 5, 1, 1});
+  const NodeRef n2 = g.param(b1, {1, 2, 1, 1});
+  const NodeRef n3 = g.param(w2, {5, 2, 1, 1});
+  const NodeRef n4 = g.param(b2, {1, 5, 1, 1});
+  EXPECT_THROW(g.channel_attention(in, n1, n2, n3, n4, 2), InvalidArgument);
 }
 
-TEST(SequentialModel, GradientCheckThroughStack) {
+TEST(CfnnGraph, GradientCheckThroughStack) {
+  // conv -> relu -> depthwise -> pointwise -> relu -> attention -> conv:
+  // input and parameter gradients of the CFNN's own graph definition.
   Rng rng(15);
-  Sequential seq;
-  seq.add(std::make_unique<Conv2D>(2, 4, 3, 1, true, rng));
-  seq.add(std::make_unique<ReLU>());
-  seq.add(std::make_unique<Conv2D>(4, 4, 3, 4, true, rng));  // depthwise
-  seq.add(std::make_unique<Conv2D>(4, 4, 1, 1, true, rng));  // pointwise
-  seq.add(std::make_unique<ReLU>());
-  seq.add(std::make_unique<ChannelAttention>(4, 2, rng));
-  seq.add(std::make_unique<Conv2D>(4, 1, 3, 1, true, rng));
-  check_gradients(seq, random_tensor(1, 2, 6, 6, rng), 5e-2);
+  CfnnModel model(2, 1, CfnnConfig{4, 2, 3}, 15);
+  check_gradients([&](Graph& g, NodeRef in) { return model.append(g, in); },
+                  random_tensor(1, 2, 6, 6, rng), 5e-2);
 }
 
-TEST(SequentialModel, ParamCountSumsLayers) {
+TEST(ParamBag, ParamCountSumsTensors) {
   Rng rng(16);
-  Sequential seq;
-  seq.add(std::make_unique<Conv2D>(2, 3, 3, 1, true, rng));  // 2*3*9+3 = 57
-  seq.add(std::make_unique<Linear>(4, 2, true, rng));        // 8+2 = 10
-  EXPECT_EQ(seq.param_count(), 67u);
+  Model m;
+  auto& cw = m.add_xavier(3 * 2 * 9, 2 * 9, 3 * 9, rng);  // 54
+  auto& cb = m.add(3);                                     // + 3 = 57
+  auto& lw = m.add_xavier(2 * 4, 4, 2, rng);               // 8
+  auto& lb = m.add(2);                                     // + 2 = 10
+  EXPECT_EQ(m.size(), 4u);
+  EXPECT_EQ(m.param_count(), 67u);
+  EXPECT_EQ(m.values(1), std::vector<float>(3, 0.0f));
+
+  Graph g(Graph::Mode::kTrain);
+  g.param(cw, {3, 2, 3, 3});
+  g.param(cb, {1, 3, 1, 1});
+  g.param(lw, {2, 4, 1, 1});
+  g.param(lb, {1, 2, 1, 1});
+  EXPECT_EQ(g.param_count(), 67u);
 }
 
 TEST(MseLoss, ValueAndGradient) {
   Tensor a(1, 1, 1, 2), b(1, 1, 1, 2);
   a.vec() = {1.0f, 3.0f};
   b.vec() = {0.0f, 1.0f};
-  auto [loss, grad] = mse_loss(a, b);
-  EXPECT_DOUBLE_EQ(loss, (1.0 + 4.0) / 2.0);
-  EXPECT_FLOAT_EQ(grad.vec()[0], 2.0f * 1.0f / 2.0f);
-  EXPECT_FLOAT_EQ(grad.vec()[1], 2.0f * 2.0f / 2.0f);
+  Graph g(Graph::Mode::kTrain);
+  const NodeRef pred = g.input({1, 1, 1, 2}, /*needs_grad=*/true);
+  const NodeRef tgt = g.input({1, 1, 1, 2});
+  g.mse_loss(pred, tgt);
+  GraphExec exec(g, tls_workspace());
+  exec.bind(pred, a.data());
+  exec.bind(tgt, b.data());
+  exec.forward();
+  EXPECT_DOUBLE_EQ(exec.loss(), (1.0 + 4.0) / 2.0);
+  exec.backward();
+  EXPECT_FLOAT_EQ(exec.grad(pred)[0], 2.0f * 1.0f / 2.0f);
+  EXPECT_FLOAT_EQ(exec.grad(pred)[1], 2.0f * 2.0f / 2.0f);
+}
+
+TEST(MseLoss, RejectsMismatchedShapes) {
+  Graph g(Graph::Mode::kInfer);
+  const NodeRef a = g.input({1, 1, 2, 2});
+  const NodeRef b = g.input({1, 1, 2, 3});
+  EXPECT_THROW(g.mse_loss(a, b), InvalidArgument);
 }
 
 TEST(AdamOptimizer, ConvergesOnQuadratic) {
@@ -336,20 +362,18 @@ TEST(AdamOptimizer, ConvergesOnQuadratic) {
 
 TEST(AdamOptimizer, TrainsTinyCnnToFitMapping) {
   Rng rng(17);
-  Sequential net;
-  net.add(std::make_unique<Conv2D>(1, 4, 3, 1, true, rng));
-  net.add(std::make_unique<ReLU>());
-  net.add(std::make_unique<Conv2D>(4, 1, 3, 1, true, rng));
+  Model m;
+  Graph g(Graph::Mode::kTrain);
+  const NodeRef in = g.input({4, 1, 8, 8});
+  const NodeRef tgt = g.input({4, 1, 8, 8});
+  const NodeRef h = g.relu(conv(g, m, in, 4, 3, 1, rng));
+  g.mse_loss(conv(g, m, h, 1, 3, 1, rng), tgt);
 
   // Learn a 2x blur-free scaling: y = 2x (learnable by convs).
   Tensor x = random_tensor(4, 1, 8, 8, rng, 0.5);
   Tensor y = x;
   for (auto& v : y.vec()) v *= 2.0f;
 
-  Graph g(Graph::Mode::kTrain);
-  const NodeRef in = g.input({4, 1, 8, 8});
-  const NodeRef tgt = g.input({4, 1, 8, 8});
-  g.mse_loss(net.append(g, in), tgt);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.bind(tgt, y.data());
@@ -387,35 +411,13 @@ TEST(AdamOptimizer, IterationCounter) {
   EXPECT_EQ(adam.iterations(), 2u);
 }
 
-TEST(LinearLayer, NoBiasVariant) {
-  Rng rng(20);
-  Linear lin(3, 2, /*bias=*/false, rng);
-  EXPECT_EQ(lin.param_count(), 6u);  // weights only
-  Graph g(Graph::Mode::kTrain);
-  lin.append(g, g.input({2, 3, 1, 1}));
-  EXPECT_EQ(g.params().size(), 1u);
-  check_gradients(lin, random_tensor(2, 3, 1, 1, rng));
-}
-
-TEST(Conv2DLayer, NoBiasGradientCheck) {
-  Rng rng(21);
-  Conv2D conv(2, 3, 3, 1, /*bias=*/false, rng);
-  Graph g(Graph::Mode::kTrain);
-  conv.append(g, g.input({1, 2, 5, 5}));
-  EXPECT_EQ(g.params().size(), 1u);
-  check_gradients(conv, random_tensor(1, 2, 5, 5, rng));
-}
-
-TEST(SequentialModel, ZeroGradClearsAllParams) {
+TEST(GraphParams, ZeroGradClearsAllParams) {
   Rng rng(22);
-  Sequential seq;
-  seq.add(std::make_unique<Conv2D>(1, 2, 3, 1, true, rng));
-  seq.add(std::make_unique<ChannelAttention>(2, 2, rng));
-
-  Tensor x = random_tensor(1, 1, 6, 6, rng);
+  Model m;
   Graph g(Graph::Mode::kTrain);
   const NodeRef in = g.input({1, 1, 6, 6});
-  const NodeRef out = seq.append(g, in);
+  const NodeRef out = attention(g, m, conv(g, m, in, 2, 3, 1, rng), 2, rng);
+  Tensor x = random_tensor(1, 1, 6, 6, rng);
   GraphExec exec(g, tls_workspace());
   exec.bind(in, x.data());
   exec.forward();
@@ -432,64 +434,6 @@ TEST(SequentialModel, ZeroGradClearsAllParams) {
   g.zero_grad();
   for (auto& p : g.params())
     for (float v : *p.grad) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(ChannelAttentionLayer, SerializeRoundtripForwardEquality) {
-  Rng rng(23);
-  ChannelAttention att(4, 2, rng);
-  ByteWriter w;
-  att.serialize(w);
-  const auto bytes = w.take();
-  ByteReader r(bytes);
-  auto restored = ChannelAttention::deserialize(r);
-
-  Tensor x = random_tensor(2, 4, 5, 5, rng);
-  const Tensor y1 = run_layer(att, x);
-  const Tensor y2 = run_layer(*restored, x);
-  for (std::size_t i = 0; i < y1.size(); ++i)
-    EXPECT_EQ(y1.vec()[i], y2.vec()[i]);
-}
-
-TEST(MseLoss, RejectsMismatchedShapes) {
-  Tensor a(1, 1, 2, 2), b(1, 1, 2, 3);
-  EXPECT_THROW(mse_loss(a, b), InvalidArgument);
-}
-
-TEST(Serialization, SequentialRoundtripPreservesForward) {
-  Rng rng(18);
-  Sequential seq;
-  seq.add(std::make_unique<Conv2D>(2, 4, 3, 1, true, rng));
-  seq.add(std::make_unique<ReLU>());
-  seq.add(std::make_unique<ChannelAttention>(4, 2, rng));
-  seq.add(std::make_unique<Conv2D>(4, 2, 1, 1, true, rng));
-
-  const auto bytes = seq.save_bytes();
-  auto restored = Sequential::load_bytes(bytes);
-  EXPECT_EQ(restored->param_count(), seq.param_count());
-
-  Tensor x = random_tensor(1, 2, 5, 5, rng);
-  const Tensor y1 = run_layer(seq, x);
-  const Tensor y2 = run_layer(*restored, x);
-  ASSERT_EQ(y1.size(), y2.size());
-  for (std::size_t i = 0; i < y1.size(); ++i)
-    EXPECT_EQ(y1.vec()[i], y2.vec()[i]);  // bit-exact
-}
-
-TEST(Serialization, UnknownLayerKindThrows) {
-  ByteWriter w;
-  w.varint(1);
-  w.str("warp_drive");
-  const auto bytes = w.take();
-  EXPECT_THROW(Sequential::load_bytes(bytes), CorruptStream);
-}
-
-TEST(Serialization, TruncatedModelThrows) {
-  Rng rng(19);
-  Sequential seq;
-  seq.add(std::make_unique<Conv2D>(2, 4, 3, 1, true, rng));
-  auto bytes = seq.save_bytes();
-  bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(Sequential::load_bytes(bytes), CorruptStream);
 }
 
 }  // namespace

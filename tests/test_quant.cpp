@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -32,6 +33,19 @@ TEST(ErrorBound, RelativeModeOnConstantFieldStaysPositive) {
 TEST(ErrorBound, RejectsNonPositiveBound) {
   EXPECT_THROW(ErrorBound::absolute(0.0), InvalidArgument);
   EXPECT_THROW(ErrorBound::relative(-1e-3), InvalidArgument);
+}
+
+TEST(ErrorBound, RejectsNonFiniteBoundsAndRanges) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ErrorBound::absolute(inf), InvalidArgument);
+  EXPECT_THROW(ErrorBound::relative(inf), InvalidArgument);
+  // A field holding Inf has a non-finite range; only a relative bound
+  // depends on it.
+  EXPECT_THROW(ErrorBound::relative(1e-3).absolute_for(inf), InvalidArgument);
+  EXPECT_DOUBLE_EQ(ErrorBound::absolute(0.5).absolute_for(inf), 0.5);
+  // A finite range whose relative bound overflows double.
+  EXPECT_THROW(ErrorBound::relative(1e300).absolute_for(1e300),
+               InvalidArgument);
 }
 
 class PrequantBoundTest : public ::testing::TestWithParam<double> {};

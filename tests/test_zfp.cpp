@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <limits>
+#include <string>
 #include <tuple>
 
+#include "archive/archive_writer.hpp"
 #include "core/rng.hpp"
+#include "io/stream.hpp"
 #include "metrics/metrics.hpp"
 #include "zfp/zfp_codec.hpp"
 
@@ -111,6 +116,36 @@ TEST(Zfp, CorruptStreamThrows) {
 TEST(Zfp, RejectsNonPositiveTolerance) {
   const Field field = turbulent(Shape{8, 8}, 6);
   EXPECT_THROW(zfp_compress(field, {.tolerance = 0.0}), InvalidArgument);
+  EXPECT_THROW(
+      zfp_compress(field,
+                   {.tolerance = std::numeric_limits<double>::infinity()}),
+      InvalidArgument);
+}
+
+TEST(NonFiniteBound, EveryArchiveCodecRejectsBeforeWriting) {
+  // One +Inf makes the value range, and with it a relative bound,
+  // non-finite. No reader accepts such a bound, so the writer must refuse
+  // the field before any codec runs — for every codec, with
+  // InvalidArgument, and without leaving a file behind.
+  Field field = turbulent(Shape{32, 32}, 12);
+  field.array()[100] = std::numeric_limits<float>::infinity();
+  for (const CodecId codec : {CodecId::kSz, CodecId::kSzClassic,
+                              CodecId::kInterp, CodecId::kZfp}) {
+    const std::string path = ::testing::TempDir() + "xfc_nonfinite_" +
+                             std::to_string(static_cast<int>(codec)) +
+                             ".xfa";
+    {
+      FileSink sink(path);
+      ArchiveWriter writer(sink);
+      ArchiveFieldOptions opts;
+      opts.eb = ErrorBound::relative(1e-3);
+      opts.codec = codec;
+      EXPECT_THROW(writer.add_field(field, opts), InvalidArgument)
+          << "codec " << static_cast<int>(codec);
+    }
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << path;
+  }
 }
 
 TEST(Zfp, SmoothDataBeatsWhiteNoise) {
