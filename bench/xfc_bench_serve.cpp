@@ -25,9 +25,9 @@
 // `--profile-check` exercises the sampling profiler end to end (wired into
 // ctest as `profiler_smoke`): it profiles a compress + cross-field
 // region-decode workload and requires the folded stacks to name the known
-// hot kernels (sgemm, huffman, miniflate), then runs an interleaved
-// min-of-5 A/B of the warm service path armed at 97 Hz vs disarmed and
-// fails if sampling costs more than a noise-margin ceiling.
+// hot kernels (the direct conv kernel, huffman, miniflate), then runs an
+// interleaved min-of-5 A/B of the warm service path armed at 97 Hz vs
+// disarmed and fails if sampling costs more than a noise-margin ceiling.
 //
 // JSON lands in <outdir>/serve.json; the checked-in BENCH_pr4.json at the
 // repo root adds before/after numbers for the records that existed before
@@ -148,10 +148,11 @@ int run_overhead_check(const BenchOptions& opt) {
   return 0;
 }
 
-/// Anchor + cross-field target so region decodes run the CFNN (sgemm) in
-/// addition to miniflate/huffman — the three kernels the folded-stack
-/// check greps for. Wider model than the unit tests so inference is a
-/// visible slice of each tile decode.
+/// Anchor + cross-field target so region decodes run the CFNN (the direct
+/// conv kernel, nn::detail::conv2d_direct) in addition to miniflate and
+/// huffman — the three kernels the folded-stack check greps for. Wider
+/// model than the unit tests so inference is a visible slice of each tile
+/// decode.
 std::shared_ptr<const ArchiveReader> build_cross_field_archive(
     std::vector<std::uint8_t>& storage) {
   const Shape shape{64, 64};
@@ -188,8 +189,8 @@ std::shared_ptr<const ArchiveReader> build_cross_field_archive(
 }
 
 /// Profiler smoke: (a) folded stacks from a compress + region-decode
-/// workload must name sgemm, huffman and miniflate frames; (b) the warm
-/// service path armed at 97 Hz must stay within a noise ceiling of the
+/// workload must name conv2d_direct, huffman and miniflate frames; (b) the
+/// warm service path armed at 97 Hz must stay within a noise ceiling of the
 /// disarmed path (the paper number is <=1.05x; the gate uses 1.25x so CI
 /// scheduler jitter cannot flake it — the measured ratio lands in the
 /// artifact either way).
@@ -248,7 +249,7 @@ int run_profile_check(const BenchOptions& opt) {
       if (cold_service.handle(req).status != 200) std::abort();
     } while (now_ms() - t0 < window_ms);
     report = obs::profiler_disarm();
-    frames_ok = report.folded.find("sgemm") != std::string::npos &&
+    frames_ok = report.folded.find("conv2d_direct") != std::string::npos &&
                 report.folded.find("uffman") != std::string::npos &&
                 report.folded.find("iniflate") != std::string::npos;
     std::printf("attempt %d: %llu samples (%llu dropped), frames %s\n",

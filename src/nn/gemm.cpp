@@ -187,23 +187,6 @@ void sgemm_stripe(bool trans_a, bool trans_b, std::size_t m, std::size_t jc,
 
 }  // namespace
 
-void sgemm_ref(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-               std::size_t k, float alpha, const float* a, std::size_t lda,
-               const float* b, std::size_t ldb, float beta, float* c,
-               std::size_t ldc) {
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p)
-        acc += static_cast<double>(at(a, lda, trans_a, i, p)) *
-               at(b, ldb, trans_b, p, j);
-      float& out = c[i * ldc + j];
-      out = alpha * static_cast<float>(acc) +
-            (beta == 0.0f ? 0.0f : beta * out);
-    }
-  }
-}
-
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,

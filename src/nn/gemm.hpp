@@ -2,8 +2,10 @@
 #define XFC_NN_GEMM_HPP
 
 /// \file gemm.hpp
-/// Single-precision GEMM: the one compute kernel the graph's convolutions
-/// lower onto (via im2col; pointwise convs directly).
+/// Single-precision GEMM: the kernel the conv backward pass lowers onto
+/// (via im2col/col2im; pointwise convs directly). The forward is a direct
+/// convolution (conv.hpp) that reproduces this GEMM's K-blocked (KC = 240)
+/// summation order bit for bit.
 ///
 /// All matrices are dense row-major. Computes
 ///   C = alpha * op(A) * op(B) + beta * C
@@ -12,9 +14,8 @@
 /// (untransposed) matrices.
 ///
 /// `sgemm` is cache-blocked and register-tiled (pack + micro-kernel, the
-/// classic BLIS/GotoBLAS loop nest); `sgemm_ref` is the naive
-/// triple-loop reference retained for tests, which cross-check the two to
-/// 1e-4 relative tolerance across shapes and transpose combinations.
+/// classic BLIS/GotoBLAS loop nest); tests cross-check it against a naive
+/// reference (tests/nn_test_util.hpp) to 1e-4 relative tolerance.
 
 #include <cstddef>
 
@@ -24,11 +25,6 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc);
-
-void sgemm_ref(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-               std::size_t k, float alpha, const float* a, std::size_t lda,
-               const float* b, std::size_t ldb, float beta, float* c,
-               std::size_t ldc);
 
 }  // namespace xfc::nn
 

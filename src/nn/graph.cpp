@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "core/utils.hpp"
-#include "nn/gemm.hpp"
-#include "nn/im2col.hpp"
+#include "nn/conv.hpp"
 
 namespace xfc::nn {
 
@@ -223,52 +221,6 @@ void attn_mlp_forward(const float* w1, const float* b1, const float* w2,
   }
 }
 
-/// Convolution forward: one (image, group) GEMM block per task, bias in a
-/// second plane-parallel pass. Pointwise (k == 1) skips im2col — the input
-/// planes already are the column matrix.
-void conv_forward(const float* x, const float* wts, const float* bias,
-                  std::size_t B, std::size_t in_ch, std::size_t H,
-                  std::size_t W, std::size_t out_ch, std::size_t k,
-                  std::size_t groups, float* y) {
-  const std::size_t hw = H * W;
-  const std::size_t icg = in_ch / groups;
-  const std::size_t ocg = out_ch / groups;
-  const std::size_t k2 = k * k;
-
-  parallel_for_chunked(0, B * groups, 1, [&](std::size_t lo,
-                                             std::size_t hi) {
-    Workspace& ws = tls_workspace();
-    for (std::size_t task = lo; task < hi; ++task) {
-      const std::size_t b = task / groups;
-      const std::size_t g = task % groups;
-      const float* xg = x + (b * in_ch + g * icg) * hw;
-      float* yg = y + (b * out_ch + g * ocg) * hw;
-      const float* wg = wts + g * ocg * icg * k2;
-      if (k == 1) {
-        sgemm(false, false, ocg, hw, icg, 1.0f, wg, icg, xg, hw, 0.0f, yg,
-              hw);
-      } else {
-        const ScratchScope scope(ws);
-        float* col = ws.acquire(icg * k2 * hw);
-        im2col(xg, icg, H, W, k, col);
-        sgemm(false, false, ocg, hw, icg * k2, 1.0f, wg, icg * k2, col, hw,
-              0.0f, yg, hw);
-      }
-    }
-  });
-
-  if (bias != nullptr) {
-    parallel_for_chunked(0, B * out_ch, 0, [&](std::size_t lo,
-                                               std::size_t hi) {
-      for (std::size_t task = lo; task < hi; ++task) {
-        float* out = y + task * hw;
-        const float bv = bias[task % out_ch];
-        for (std::size_t i = 0; i < hw; ++i) out[i] += bv;
-      }
-    });
-  }
-}
-
 void relu_forward(const float* x, std::size_t n, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
@@ -443,9 +395,9 @@ void GraphExec::eval(std::size_t i) {
       break;
     case Op::kConv2D: {
       const GShape& xs = in_shape(0);
-      conv_forward(in_val(0), in_val(1),
-                   nd.in[2] >= 0 ? in_val(2) : nullptr, xs.n, xs.c, xs.h,
-                   xs.w, nd.shape.c, nd.a0, nd.a1, buf_[i]);
+      conv2d_forward(in_val(0), in_val(1),
+                     nd.in[2] >= 0 ? in_val(2) : nullptr, xs.n, xs.c, xs.h,
+                     xs.w, nd.shape.c, nd.a0, nd.a1, buf_[i]);
       break;
     }
     case Op::kReLU:

@@ -20,11 +20,19 @@
 ///
 /// Two contracts the op kernels uphold:
 ///  1. Frozen inference arithmetic. The float evaluation order of every
-///     forward kernel — most critically the serial left-to-right double
-///     summation in the channel-attention pooling — is part of the
-///     cross-field stream format: the decoder replays the encoder's CFNN
-///     predictions bit-exactly (pinned by test_golden's cross-field
-///     archive). Do not "optimise" reduction orders here.
+///     forward kernel is part of the cross-field stream format: the
+///     decoder replays the encoder's CFNN predictions bit-exactly (pinned
+///     by test_golden's cross-field archive). Do not "optimise" reduction
+///     orders here. The two orders that matter most:
+///     - conv2d (conv.hpp): for each output element, K = (in/groups)*k*k
+///       products w[oc][p] * x_p (a float multiply, then a separate float
+///       add — libxfc builds with -ffp-contract=off), p = (ic*k + ky)*k +
+///       kx, x_p = +0.0f outside the plane. The taps are summed in blocks
+///       of 240, each from +0.0f; the first block's sum is the running
+///       value, each later block's sum s_j is added as s_j + y, and the
+///       bias is added last.
+///     - channel attention: the serial left-to-right double summation of
+///       each plane's pooled average (pool_plane in graph.cpp).
 ///  2. Thread-count determinism. Parallel kernels only partition work whose
 ///     reduction order is fixed (disjoint output planes, per-image
 ///     weight-gradient accumulators reduced serially in image order), so
@@ -66,7 +74,7 @@ struct NodeRef {
 enum class Op : std::uint8_t {
   kInput,             ///< externally bound activation (bind() before forward)
   kParam,             ///< trainable parameter leaf
-  kConv2D,            ///< im2col+GEMM conv, odd k, "same" pad, groups; fused bias
+  kConv2D,            ///< direct conv, odd k, "same" pad, groups; fused bias
   kReLU,              ///< elementwise max(0, x)
   kChannelAttention,  ///< CBAM pooling + shared MLP + sigmoid rescale composite
   kMseLoss,           ///< scalar mean-squared-error head

@@ -6,25 +6,19 @@
 ///
 /// im2col rewrites one (image, group) input block [icg][H][W] as a column
 /// matrix col[icg*k*k][H*W]: row (ic*k + ky)*k + kx holds, for each output
-/// pixel, the input value the (ky, kx) weight tap reads. A convolution then
-/// becomes one GEMM per (image, group):
-///   forward        Y  = W    (ocg x icg*k*k) * col               (beta 0)
+/// pixel, the input value the (ky, kx) weight tap reads. The conv backward
+/// then becomes GEMMs per (image, group):
 ///   input grad     dC = W^T  (icg*k*k x ocg) * dY, then col2im   (beta 0)
 ///   weight grad    dW += dY  (ocg x H*W)     * col^T             (beta 1)
+/// The forward needs no column matrix (conv.hpp), but its frozen term
+/// order is still this row order.
 ///
 /// The padding boundary is handled *here*, once per row: interior spans
 /// are bulk row copies with no per-pixel bounds checks; only the halo
 /// (the up-to-pad-wide frame) sees explicit zero-fill. The GEMMs never
 /// branch on position.
-///
-/// conv2d_ref_* are the retained naive six-loop kernels, used by
-/// tests/test_gemm.cpp to cross-check the lowered paths to 1e-4 relative
-/// tolerance.
 
 #include <cstddef>
-#include <vector>
-
-#include "nn/tensor.hpp"
 
 namespace xfc::nn {
 
@@ -38,22 +32,6 @@ void im2col(const float* src, std::size_t icg, std::size_t h, std::size_t w,
 /// tensor).
 void col2im(const float* col, std::size_t icg, std::size_t h, std::size_t w,
             std::size_t k, float* dst);
-
-/// Naive reference forward: weight layout [out_ch][in_ch/groups][k][k],
-/// bias may be null.
-Tensor conv2d_ref_forward(const Tensor& x, const std::vector<float>& weight,
-                          const float* bias, std::size_t out_ch,
-                          std::size_t k, std::size_t groups);
-
-/// Naive reference backward. Accumulates (+=) into grad_weight/grad_bias
-/// like the graph's conv backward does; grad_bias may be null. Returns
-/// dL/dx.
-Tensor conv2d_ref_backward(const Tensor& x, const Tensor& grad_out,
-                           const std::vector<float>& weight,
-                           std::size_t out_ch, std::size_t k,
-                           std::size_t groups,
-                           std::vector<float>& grad_weight,
-                           float* grad_bias);
 
 }  // namespace xfc::nn
 

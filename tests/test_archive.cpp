@@ -9,7 +9,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
+
+#include <unistd.h>
 
 #include "archive/archive_appender.hpp"
 #include "archive/archive_reader.hpp"
@@ -394,7 +397,11 @@ TEST(Archive, WriterRejectsMisuse) {
 // -- File-backed path --------------------------------------------------------
 
 TEST(Archive, FileBackedWriteAndSeekingRead) {
-  const std::string path = ::testing::TempDir() + "xfc_test_archive.xfa";
+  // Per-process name: test_archive and test_archive_mt4 run concurrently
+  // under `ctest -j`, and FileSink's temp+rename commit must not race a
+  // sibling process on the same path.
+  const std::string path = ::testing::TempDir() + "xfc_test_archive." +
+                           std::to_string(::getpid()) + ".xfa";
   const Field f = smooth_field("fld", Shape{64, 64}, 43);
   {
     FileSink sink(path);
@@ -425,7 +432,8 @@ TEST(Archive, ConcurrentReadsFromOneFileBackedReader) {
   // many threads hammering one reader must all see the single-threaded
   // bytes. (Pre-fix the mutex hid the race; this pins the contract so a
   // future "optimization" back to a shared cursor fails loudly.)
-  const std::string path = ::testing::TempDir() + "xfc_test_archive_mt.xfa";
+  const std::string path = ::testing::TempDir() + "xfc_test_archive_mt." +
+                           std::to_string(::getpid()) + ".xfa";
   const Field f = smooth_field("fld", Shape{128, 128}, 77);
   {
     FileSink sink(path);

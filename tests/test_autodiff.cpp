@@ -22,7 +22,6 @@
 #include "core/rng.hpp"
 #include "nn/autodiff.hpp"
 #include "nn/graph.hpp"
-#include "nn/im2col.hpp"
 #include "nn_test_util.hpp"
 
 namespace xfc::nn {
@@ -30,6 +29,7 @@ namespace {
 
 using test::attention;
 using test::conv;
+using test::conv2d_ref_forward;
 using test::random_tensor;
 
 /// Builds a kTrain graph `pred = build(g, in, rng, m)` with an MSE root
@@ -105,7 +105,7 @@ TEST(CheckGrad, Conv2DDepthwise) {
 
 TEST(CheckGrad, Conv2DOnePixelPlanes) {
   // 1x1 spatial planes with k=3: the entire receptive field is padding
-  // except the centre tap — exercises the im2col halo path degenerately.
+  // except the centre tap — exercises the halo paths degenerately.
   check_op({2, 3, 1, 1}, 0xB5, {},
            [](Graph& g, NodeRef in, Rng& rng, Model& m) {
              return conv(g, m, in, 2, 3, 1, rng);
@@ -309,7 +309,7 @@ TEST(GraphExecArena, SteadyStateTrainingReservesNothing) {
   // must not grow the exec's arena: activations, gradients and the
   // backward kernels' caller-side scratch were all acquired by then. A
   // private (non-tls) workspace keeps the measurement deterministic — the
-  // per-chunk im2col scratch lives on whichever pool thread runs the
+  // per-chunk conv scratch lives on whichever pool thread runs the
   // chunk, and chunk placement varies with XFC_THREADS.
   Rng rng(0xF1);
   CfnnModel net(3, 2, CfnnConfig{8, 4, 3}, 0xF1);

@@ -1,16 +1,21 @@
-// Cross-checks for the lowered NN compute core: blocked SGEMM vs the naive
-// reference, im2col against its index definition, and the graph's conv op
-// (im2col+GEMM forward, derived backward via GraphExec::backward_from)
-// against the retained naive kernels — across odd shapes, groups > 1,
-// batch > 1, and k in {1,3,5}.
+// Cross-checks for the NN compute core: blocked SGEMM vs the naive
+// reference, im2col against its index definition, the direct conv forward
+// bit for bit against the im2col + SGEMM + bias lowering whose order it
+// freezes, and the graph's conv op (forward, derived backward via
+// GraphExec::backward_from) against the naive kernels — across odd shapes,
+// groups > 1, batch > 1, and k in {1,3,5}.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "nn/autodiff.hpp"
+#include "nn/conv.hpp"
 #include "nn/gemm.hpp"
 #include "nn/graph.hpp"
 #include "nn/im2col.hpp"
@@ -34,7 +39,10 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, double scale = 1.0) {
   return v;
 }
 
+using test::conv2d_ref_backward;
+using test::conv2d_ref_forward;
 using test::random_tensor;
+using test::sgemm_ref;
 
 void check_sgemm(bool ta, bool tb, std::size_t m, std::size_t n,
                  std::size_t k, float alpha, float beta, Rng& rng) {
@@ -136,6 +144,154 @@ TEST(Im2col, Col2imIsAdjoint) {
   for (std::size_t i = 0; i < back.size(); ++i)
     rhs += static_cast<double>(x.vec()[i]) * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::abs(lhs)));
+}
+
+// ----------------------------------------- direct conv == im2col + sgemm --
+
+/// The conv forward the direct kernel replaced: per (image, group) im2col
+/// (skipped for k == 1) and one blocked sgemm, then a separate bias pass.
+/// Its per-element order is the frozen one conv2d_forward must reproduce.
+void im2col_sgemm_forward(const float* x, const float* w, const float* bias,
+                          std::size_t batch, std::size_t in_ch,
+                          std::size_t h, std::size_t wd, std::size_t out_ch,
+                          std::size_t k, std::size_t groups, float* y) {
+  const std::size_t hw = h * wd, icg = in_ch / groups;
+  const std::size_t ocg = out_ch / groups, kk = icg * k * k;
+  std::vector<float> col(k == 1 ? 0 : kk * hw);
+  for (std::size_t b = 0; b < batch; ++b)
+    for (std::size_t g = 0; g < groups; ++g) {
+      const float* xg = x + (b * in_ch + g * icg) * hw;
+      const float* wg = w + g * ocg * kk;
+      float* yg = y + (b * out_ch + g * ocg) * hw;
+      if (k != 1) im2col(xg, icg, h, wd, k, col.data());
+      sgemm(false, false, ocg, hw, kk, 1.0f, wg, kk,
+            k == 1 ? xg : col.data(), hw, 0.0f, yg, hw);
+    }
+  if (bias != nullptr)
+    for (std::size_t bc = 0; bc < batch * out_ch; ++bc)
+      for (std::size_t i = 0; i < hw; ++i) y[bc * hw + i] += bias[bc % out_ch];
+}
+
+struct DirectCase {
+  std::size_t batch, in_ch, out_ch, k, groups, h, w;
+};
+
+/// Runs both forwards on the same data and requires identical bytes (NaN
+/// payloads and signed zeros included), not closeness. `nan_any_payload`
+/// relaxes exactly one thing: a NaN may differ from a NaN.
+void expect_same_bits(const DirectCase& c, const std::vector<float>& x,
+                      const std::vector<float>& w, const float* bias,
+                      bool nan_any_payload = false) {
+  const std::size_t n = c.batch * c.out_ch * c.h * c.w;
+  std::vector<float> want(n, -1.0f), got(n, -2.0f);
+  im2col_sgemm_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
+                       c.out_ch, c.k, c.groups, want.data());
+  conv2d_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
+                 c.out_ch, c.k, c.groups, got.data());
+  if (std::memcmp(want.data(), got.data(), n * sizeof(float)) == 0) return;
+  std::size_t i = 0;
+  while (i < n && (std::memcmp(&want[i], &got[i], sizeof(float)) == 0 ||
+                   (nan_any_payload && std::isnan(want[i]) &&
+                    std::isnan(got[i]))))
+    ++i;
+  if (i == n) return;
+  std::uint32_t wbits, gbits;
+  std::memcpy(&wbits, &want[i], sizeof wbits);
+  std::memcpy(&gbits, &got[i], sizeof gbits);
+  ADD_FAILURE() << "B=" << c.batch << " C=" << c.in_ch << "->" << c.out_ch
+                << " k=" << c.k << " groups=" << c.groups << " H=" << c.h
+                << " W=" << c.w << ": first differing element " << i
+                << " want 0x" << std::hex << wbits << " got 0x" << gbits;
+}
+
+void expect_same_bits_random(const DirectCase& c, Rng& rng,
+                             bool with_bias = true) {
+  const std::size_t wn = c.out_ch * (c.in_ch / c.groups) * c.k * c.k;
+  const std::vector<float> x =
+      random_vec(c.batch * c.in_ch * c.h * c.w, rng);
+  const std::vector<float> w = random_vec(wn, rng);
+  const std::vector<float> bias = random_vec(c.out_ch, rng);
+  expect_same_bits(c, x, w, with_bias ? bias.data() : nullptr);
+}
+
+TEST(DirectConv, BitIdenticalToIm2colSgemmAcrossShapes) {
+  // Ragged register blocks (W not a multiple of 8, 1-wide planes, planes
+  // narrower than the halo), partial row bands (H = 3, 64 = 8 bands) and
+  // channel-block tails (5 outputs = 4 + 1).
+  Rng rng(401);
+  constexpr std::size_t kC = 3;
+  for (std::size_t k : {1, 3, 5})
+    for (bool depthwise : {false, true})
+      for (std::size_t batch : {1, 3})
+        for (std::size_t w : {1, 2, 7, 8, 9, 257})
+          for (std::size_t h : {1, 3, 64}) {
+            const std::size_t groups = depthwise ? kC : 1;
+            const std::size_t out = depthwise ? kC : 5;
+            expect_same_bits_random({batch, kC, out, k, groups, h, w}, rng);
+          }
+  expect_same_bits_random({2, 4, 6, 3, 1, 9, 11}, rng, /*with_bias=*/false);
+}
+
+TEST(DirectConv, BitIdenticalAcrossTheKcBlockEdge) {
+  // icg*k*k terms around and past the GEMM's KC = 240 K-block, where a
+  // second partial sum starts from +0.0f and is added onto the first. With
+  // k = 3 and 5 the edge falls inside one input channel's kernel window.
+  Rng rng(402);
+  const DirectCase cases[] = {
+      {2, 239, 6, 1, 1, 5, 9},   // 239 terms
+      {2, 240, 6, 1, 1, 5, 9},   // 240: exactly one block
+      {2, 241, 6, 1, 1, 5, 9},   // 241: one-term second block
+      {1, 486, 5, 1, 1, 3, 17},  // 486: three blocks
+      {1, 54, 5, 3, 1, 6, 10},   // 486 = 54 * 9
+      {2, 27, 6, 3, 1, 5, 9},    // 243: edge after tap 6 of channel 26
+      {1, 10, 3, 5, 1, 7, 12},   // 250: edge after tap 15 of channel 9
+      {2, 482, 4, 1, 2, 4, 9},   // 241 per group, two groups
+  };
+  for (const DirectCase& c : cases) expect_same_bits_random(c, rng);
+}
+
+TEST(DirectConv, NonFiniteValuesPropagateIdentically) {
+  // NaN and +-Inf in inputs (corners, interior) and weights. An Inf weight
+  // on a tap that reads the zero halo contributes Inf * 0 = NaN, so the
+  // direct kernel must not skip out-of-plane taps.
+  //
+  // When two NaNs with different bits meet in one add, IEEE 754 does not
+  // say which survives, and the compiler may commute the operands. So the
+  // byte-exact runs inject the NaN the hardware itself makes for Inf * 0:
+  // every NaN in the computation then has the same bits. The runs with
+  // the other encoding (quiet_NaN has the opposite sign on x86) still
+  // require every element bit-identical except NaN against NaN.
+  Rng rng(403);
+  const float inf = std::numeric_limits<float>::infinity();
+  const volatile float zero = 0.0f;
+  const float default_nan = inf * zero;
+  const float other_nan = std::numeric_limits<float>::quiet_NaN();
+  const DirectCase cases[] = {
+      {2, 3, 5, 3, 1, 7, 9},
+      {2, 3, 3, 3, 3, 7, 9},
+      {1, 2, 4, 5, 1, 4, 6},
+      {1, 241, 3, 1, 1, 3, 10},
+  };
+  for (const DirectCase& c : cases) {
+    const std::size_t xn = c.batch * c.in_ch * c.h * c.w;
+    const std::size_t wn = c.out_ch * (c.in_ch / c.groups) * c.k * c.k;
+    const std::vector<float> x0 = random_vec(xn, rng);
+    const std::vector<float> w0 = random_vec(wn, rng);
+    const std::vector<float> bias = random_vec(c.out_ch, rng);
+    for (const float nan : {default_nan, other_nan}) {
+      const bool exact = std::memcmp(&nan, &default_nan, sizeof nan) == 0;
+      std::vector<float> x = x0, w = w0;
+      x[0] = nan;
+      x[xn / 2] = inf;
+      x[xn - 1] = -inf;
+      w[0] = inf;
+      w[wn / 2] = nan;
+      w[wn - 1] = -inf;
+      expect_same_bits(c, x, w0, bias.data(), !exact);  // inputs
+      expect_same_bits(c, x0, w, bias.data(), !exact);  // weights
+      expect_same_bits(c, x, w, bias.data(), !exact);   // both
+    }
+  }
 }
 
 struct ConvCase {

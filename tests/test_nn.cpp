@@ -220,8 +220,8 @@ TEST(Conv2DOp, GradientCheckPointwise) {
   check_conv(10, 3, 1, 1, 2, 5, 4, 4);
 }
 
-// The k=5 / batched-grouped cases route through every im2col+GEMM code
-// path (wide halo, grouped weight blocks, per-image weight-grad GEMMs).
+// The k=5 / batched-grouped cases route through every conv code path (wide
+// halo, grouped weight blocks, per-image weight-grad GEMMs).
 
 TEST(Conv2DOp, GradientCheckKernel5) { check_conv(30, 3, 5, 1, 2, 2, 7, 6); }
 
