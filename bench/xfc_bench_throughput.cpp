@@ -227,25 +227,34 @@ int main(int argc, char** argv) {
     // One training step (forward + backward + Adam) on a 16x32x32 batch —
     // the unit of work that dominates xfc_bench_fig5_training. Graph and
     // executor are built once outside the timer, like cfnn::train_cfnn.
-    nn::Tensor xb(16, 4, 32, 32), tb(16, 3, 32, 32);
-    for (auto& v : xb.vec()) v = static_cast<float>(rng.normal());
-    for (auto& v : tb.vec()) v = static_cast<float>(rng.normal());
-    nn::Graph tg(nn::Graph::Mode::kTrain);
-    const nn::NodeRef tin = tg.input({16, 4, 32, 32});
-    const nn::NodeRef ttgt = tg.input({16, 3, 32, 32});
-    tg.mse_loss(model.append(tg, tin), ttgt);
-    nn::GraphExec texec(tg, nn::tls_workspace());
-    texec.bind(tin, xb.data());
-    texec.bind(ttgt, tb.data());
-    nn::Adam adam(tg.params(), {.lr = 1e-3});
-    json.add("cfnn_train_step_b16",
-             time_ms([&] {
-               tg.zero_grad();
-               texec.forward();
-               texec.backward();
-               adam.step();
-             }),
-             static_cast<double>(xb.size()) * sizeof(float));
+    const auto train_step = [&](const char* name, CfnnModel& net,
+                                std::size_t cin, std::size_t cout) {
+      nn::Tensor xb(16, cin, 32, 32), tb(16, cout, 32, 32);
+      for (auto& v : xb.vec()) v = static_cast<float>(rng.normal());
+      for (auto& v : tb.vec()) v = static_cast<float>(rng.normal());
+      nn::Graph tg(nn::Graph::Mode::kTrain);
+      const nn::NodeRef tin = tg.input({16, cin, 32, 32});
+      const nn::NodeRef ttgt = tg.input({16, cout, 32, 32});
+      tg.mse_loss(net.append(tg, tin), ttgt);
+      nn::GraphExec texec(tg, nn::tls_workspace());
+      texec.bind(tin, xb.data());
+      texec.bind(ttgt, tb.data());
+      nn::Adam adam(tg.params(), {.lr = 1e-3});
+      json.add(name,
+               time_ms([&] {
+                 tg.zero_grad();
+                 texec.forward();
+                 texec.backward();
+                 adam.step();
+               }),
+               static_cast<double>(xb.size()) * sizeof(float));
+    };
+    train_step("cfnn_train_step_b16", model, 4, 3);
+    // The snapshot benchmark's training shape: a 2-D target with three
+    // anchors (in = 3 anchors x 2 axes, out = 2 axes) on the small
+    // 24-hidden-channel profile.
+    CfnnModel h24(6, 2, CfnnConfig{24, 8, 3}, 99);
+    train_step("cfnn_train_step_h24", h24, 6, 2);
   }
 
   const std::string out = opt.outdir + "/throughput.json";

@@ -7,6 +7,7 @@
 /// snapshot). Fields carry their name so dataset registries, anchor-field
 /// configuration and experiment logs can refer to them symbolically.
 
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -35,10 +36,15 @@ class Field {
   /// Minimum and maximum value; {0,0} for an empty field.
   std::pair<float, float> min_max() const;
 
-  /// max - min; the denominator of relative error bounds and PSNR.
-  float value_range() const {
+  /// max - min; the denominator of relative error bounds and PSNR. The
+  /// float difference when it is finite (the value every stream so far
+  /// was written with), else the exact double one, so a finite field
+  /// wider than FLT_MAX still has a finite range.
+  double value_range() const {
     auto [lo, hi] = min_max();
-    return hi - lo;
+    const float range = hi - lo;
+    if (std::isfinite(range)) return range;
+    return static_cast<double>(hi) - static_cast<double>(lo);
   }
 
   /// Arithmetic mean.

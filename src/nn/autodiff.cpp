@@ -1,148 +1,25 @@
 #include "nn/autodiff.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "core/utils.hpp"
-#include "nn/gemm.hpp"
-#include "nn/im2col.hpp"
+#include "nn/conv.hpp"
 
 namespace xfc::nn {
 
 // ---------------------------------------------------- backward kernels ----
 //
-// One reverse kernel per forward op in graph.cpp. The thread-count-
+// One reverse kernel per forward op in graph.cpp; the conv's sits beside
+// its forward in conv.cpp. The thread-count-
 // determinism contract from graph.hpp applies throughout: parallel loops
 // write disjoint regions, and every cross-image reduction into a parameter
 // gradient happens serially in image order.
 
 namespace {
-
-void relu_backward(const float* x, const float* go, std::size_t n,
-                   bool first, float* gx) {
-  if (first) {
-    for (std::size_t i = 0; i < n; ++i)
-      gx[i] = x[i] <= 0.0f ? 0.0f : go[i];
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      if (x[i] > 0.0f) gx[i] += go[i];
-  }
-}
-
-/// One (image, group) block of the conv backward: data gradient via the
-/// transposed GEMM (+ col2im for k > 1), weight gradient into the caller's
-/// per-image accumulator.
-void conv_backward_block(const float* x, const float* wts, const float* go,
-                         std::size_t in_ch, std::size_t H, std::size_t W,
-                         std::size_t out_ch, std::size_t k,
-                         std::size_t groups, std::size_t b, std::size_t g,
-                         float* gx, float* gw_base) {
-  const std::size_t hw = H * W;
-  const std::size_t icg = in_ch / groups;
-  const std::size_t ocg = out_ch / groups;
-  const std::size_t k2 = k * k;
-  const float* xg = x + (b * in_ch + g * icg) * hw;
-  const float* gog = go + (b * out_ch + g * ocg) * hw;
-  const float* wg = wts + g * ocg * icg * k2;
-  float* gxg = gx != nullptr ? gx + (b * in_ch + g * icg) * hw : nullptr;
-  float* gwg = gw_base != nullptr ? gw_base + g * ocg * icg * k2 : nullptr;
-
-  if (k == 1) {
-    if (gxg != nullptr)
-      sgemm(true, false, icg, hw, ocg, 1.0f, wg, icg, gog, hw, 0.0f, gxg,
-            hw);
-    if (gwg != nullptr)
-      sgemm(false, true, ocg, icg, hw, 1.0f, gog, hw, xg, hw, 1.0f, gwg,
-            icg);
-    return;
-  }
-
-  Workspace& ws = tls_workspace();
-  const ScratchScope scope(ws);
-  if (gxg != nullptr) {
-    float* dcol = ws.acquire(icg * k2 * hw);
-    sgemm(true, false, icg * k2, hw, ocg, 1.0f, wg, icg * k2, gog, hw, 0.0f,
-          dcol, hw);
-    col2im(dcol, icg, H, W, k, gxg);  // accumulates into pre-zeroed gxg
-  }
-  if (gwg != nullptr) {
-    float* col = ws.acquire(icg * k2 * hw);
-    im2col(xg, icg, H, W, k, col);
-    sgemm(false, true, ocg, icg * k2, hw, 1.0f, gog, hw, col, hw, 1.0f, gwg,
-          icg * k2);
-  }
-}
-
-void conv_backward(const float* x, const float* wts, const float* go,
-                   std::size_t B, std::size_t in_ch, std::size_t H,
-                   std::size_t W, std::size_t out_ch, std::size_t k,
-                   std::size_t groups, bool first, Workspace& ws, float* gx,
-                   float* gw, float* gb) {
-  const std::size_t hw = H * W;
-  const std::size_t icg = in_ch / groups;
-  const std::size_t k2 = k * k;
-  const std::size_t wsize = out_ch * icg * k2;
-
-  // col2im scatter-adds, so the data-gradient planes must start zeroed on
-  // the first write of this sweep (later writers accumulate on top).
-  if (gx != nullptr && k > 1 && first)
-    std::fill(gx, gx + B * in_ch * hw, 0.0f);
-
-  if (gw != nullptr) {
-    const ScratchScope scope(ws);
-    if (B == 1) {
-      // Single image: one accumulator, group-parallel (groups touch
-      // disjoint weight slices).
-      float* acc = ws.acquire(wsize);
-      std::fill(acc, acc + wsize, 0.0f);
-      parallel_for_chunked(0, groups, 1, [&](std::size_t lo,
-                                             std::size_t hi) {
-        for (std::size_t g = lo; g < hi; ++g)
-          conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups, 0,
-                              g, gx, acc);
-      });
-      for (std::size_t i = 0; i < wsize; ++i) gw[i] += acc[i];
-    } else {
-      // Per-image accumulators, reduced serially in image order so the
-      // weight gradient is independent of XFC_THREADS.
-      float* acc_all = ws.acquire(B * wsize);
-      parallel_for_chunked(0, B, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          float* acc = acc_all + b * wsize;
-          std::fill(acc, acc + wsize, 0.0f);
-          for (std::size_t g = 0; g < groups; ++g)
-            conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups,
-                                b, g, gx, acc);
-        }
-      });
-      for (std::size_t b = 0; b < B; ++b) {
-        const float* acc = acc_all + b * wsize;
-        for (std::size_t i = 0; i < wsize; ++i) gw[i] += acc[i];
-      }
-    }
-  } else if (gx != nullptr) {
-    parallel_for_chunked(0, B * groups, 1, [&](std::size_t lo,
-                                               std::size_t hi) {
-      for (std::size_t task = lo; task < hi; ++task)
-        conv_backward_block(x, wts, go, in_ch, H, W, out_ch, k, groups,
-                            task / groups, task % groups, gx, nullptr);
-    });
-  }
-
-  if (gb != nullptr) {
-    parallel_for_chunked(0, out_ch, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t oc = lo; oc < hi; ++oc) {
-        double acc = 0.0;
-        for (std::size_t b = 0; b < B; ++b) {
-          const float* p = go + (b * out_ch + oc) * hw;
-          for (std::size_t i = 0; i < hw; ++i) acc += p[i];
-        }
-        gb[oc] += static_cast<float>(acc);
-      }
-    });
-  }
-}
 
 /// Backward through one shared-MLP branch: grads of w1/b1/w2/b2 accumulate;
 /// dv receives dL/d(pooled descriptor).
@@ -253,6 +130,38 @@ void mse_backward(const float* p, const float* t, std::size_t n, float scale,
 
 }  // namespace
 
+// ----------------------------------------------------------------- ReLU ----
+
+namespace {
+// Elements per ReLU-backward task: a few L1-sized slices of x, go and gx.
+constexpr std::size_t kReluGrain = std::size_t{1} << 14;
+}  // namespace
+
+void relu_backward(const float* x, const float* go, std::size_t n, bool first,
+                   float* gx) {
+  parallel_for_chunked(0, n, kReluGrain, [&](std::size_t lo,
+                                             std::size_t hi) {
+    // Every load is unconditional, so the first pass's select needs no
+    // branch. The accumulating pass selects bits with a mask: written as
+    // x > 0 ? sum : gx, the compiler turns it back into a conditional
+    // store and a branch.
+    if (first) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const float g = go[i];
+        gx[i] = x[i] <= 0.0f ? 0.0f : g;
+      }
+    } else {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const auto old = std::bit_cast<std::uint32_t>(gx[i]);
+        const auto sum = std::bit_cast<std::uint32_t>(gx[i] + go[i]);
+        const std::uint32_t keep_sum =
+            0u - static_cast<std::uint32_t>(x[i] > 0.0f);
+        gx[i] = std::bit_cast<float>((sum & keep_sum) | (old & ~keep_sum));
+      }
+    }
+  });
+}
+
 // --------------------------------------------------- GraphExec backward ----
 
 void GraphExec::begin_backward() {
@@ -311,9 +220,9 @@ void GraphExec::backprop(std::size_t i) {
       break;
     case Op::kConv2D: {
       const GShape& xs = g_.nodes_[in_id(0)].shape;
-      conv_backward(in_val(0), in_val(1), go, xs.n, xs.c, xs.h, xs.w,
-                    nd.shape.c, nd.a0, nd.a1, first(0), ws_, in_grd(0),
-                    in_grd(1), in_grd(2));
+      conv2d_backward(in_val(0), in_val(1), go, xs.n, xs.c, xs.h, xs.w,
+                      nd.shape.c, nd.a0, nd.a1, first(0), in_grd(0),
+                      in_grd(1), in_grd(2));
       break;
     }
     case Op::kReLU:

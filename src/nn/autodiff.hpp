@@ -53,6 +53,14 @@ struct CheckGradResult {
 CheckGradResult check_grad(Graph& g, GraphExec& exec,
                            const CheckGradOptions& opts = {});
 
+/// The kReLU node's backward: gx = x <= 0 ? 0 : go when `first` (no other
+/// consumer of x has written gx), else gx += go where x > 0. A select per
+/// element, never a branch, on the thread pool. The two tests differ on a
+/// NaN x: the first pass passes go through, the accumulating pass leaves
+/// gx alone.
+void relu_backward(const float* x, const float* go, std::size_t n, bool first,
+                   float* gx);
+
 /// Owning parameter store for graph-first models.
 class Model {
  public:

@@ -37,7 +37,8 @@
 ///     reduction order is fixed (disjoint output planes, per-image
 ///     weight-gradient accumulators reduced serially in image order), so
 ///     forward, backward and therefore trained model bytes are independent
-///     of XFC_THREADS.
+///     of XFC_THREADS. The conv backward's summation order is fixed too
+///     (conv.hpp), so the trained bytes do not change with its kernels.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,7 +4,7 @@
 /// \file workspace.hpp
 /// Per-thread scratch-buffer arena for the NN and codec hot paths.
 ///
-/// Conv halo bands, im2col buffers, GEMM packing panels, layer activations
+/// Conv halo bands, channels-last gradient copies, layer activations
 /// and per-tile decode payloads are needed for microseconds at a time but
 /// allocated on every call; that malloc+zero traffic dominated small-batch
 /// NN profiles and the archive's per-tile decode setup. The arena hands out slab
@@ -18,7 +18,7 @@
 ///   float* buf = ws.acquire(n);      // valid until scope exit
 ///
 /// Each thread owns its arena (tls_workspace), so pool workers never
-/// contend; nested scopes (GraphExec -> conv backward -> sgemm) stack
+/// contend; nested scopes (GraphExec -> conv backward -> conv2d_direct) stack
 /// cleanly.
 
 #include <cstddef>

@@ -1,11 +1,11 @@
-#include "nn/gemm.hpp"
+#include "lowering/gemm.hpp"
 
 #include <algorithm>
 
 #include "core/utils.hpp"
 #include "nn/workspace.hpp"
 
-namespace xfc::nn {
+namespace xfc::nn::test {
 namespace {
 
 // Register tile. MR*NR accumulators plus a broadcast lane and one NR-wide
@@ -218,4 +218,4 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   });
 }
 
-}  // namespace xfc::nn
+}  // namespace xfc::nn::test

@@ -1,9 +1,9 @@
-#include "nn/im2col.hpp"
+#include "lowering/im2col.hpp"
 
 #include <algorithm>
 #include <cstring>
 
-namespace xfc::nn {
+namespace xfc::nn::test {
 
 void im2col(const float* src, std::size_t icg, std::size_t h, std::size_t w,
             std::size_t k, float* col) {
@@ -69,4 +69,4 @@ void col2im(const float* col, std::size_t icg, std::size_t h, std::size_t w,
   }
 }
 
-}  // namespace xfc::nn
+}  // namespace xfc::nn::test

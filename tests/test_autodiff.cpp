@@ -112,6 +112,34 @@ TEST(CheckGrad, Conv2DOnePixelPlanes) {
            });
 }
 
+/// h = relu(conv3(in)) feeds a 1x1 conv and a second ReLU, the two sides of
+/// the loss. The reverse sweep reaches relu(h) first, so the 1x1 conv's
+/// data gradient must add onto h's gradient, not overwrite it. The k = 3
+/// variant is the control: its data gradient always accumulated.
+CheckGradResult shared_activation_grad(std::size_t k, std::uint64_t seed) {
+  Model m;
+  Rng rng(seed);
+  Tensor x = random_tensor(2, 3, 5, 6, rng);
+  Graph g(Graph::Mode::kTrain);
+  const NodeRef in = g.input({2, 3, 5, 6});
+  const NodeRef h = g.relu(conv(g, m, in, 4, 3, 1, rng));
+  const NodeRef pred = conv(g, m, h, 4, k, 1, rng);
+  const NodeRef target = g.relu(h);
+  g.mse_loss(pred, target);
+  GraphExec exec(g, tls_workspace());
+  exec.bind(in, x.data());
+  return check_grad(g, exec);
+}
+
+TEST(CheckGrad, PointwiseConvAccumulatesOntoASharedActivation) {
+  for (std::size_t k : {1, 3}) {
+    const CheckGradResult r = shared_activation_grad(k, 0xB6);
+    EXPECT_TRUE(r.ok) << "k=" << k << ": max rel err " << r.max_rel_err
+                      << " at param " << r.worst_param << "["
+                      << r.worst_elem << "]";
+  }
+}
+
 TEST(CheckGrad, ChannelAttention) {
   check_op({2, 4, 5, 5}, 0xC1, {.tol = 2e-3},
            [](Graph& g, NodeRef in, Rng& rng, Model& m) {

@@ -1,9 +1,10 @@
-// Cross-checks for the NN compute core: blocked SGEMM vs the naive
-// reference, im2col against its index definition, the direct conv forward
-// bit for bit against the im2col + SGEMM + bias lowering whose order it
-// freezes, and the graph's conv op (forward, derived backward via
-// GraphExec::backward_from) against the naive kernels — across odd shapes,
-// groups > 1, batch > 1, and k in {1,3,5}.
+// Cross-checks for the NN compute core: the test-only blocked SGEMM vs the
+// naive reference, im2col against its index definition, the direct conv
+// forward and backward bit for bit against the im2col + SGEMM (+ col2im)
+// lowering whose order they freeze, the ReLU backward's bytes, and the
+// graph's conv op (forward, derived backward via GraphExec::backward_from)
+// against the naive kernels — across odd shapes, groups > 1, batch > 1,
+// and k in {1,3,5}.
 
 #include <gtest/gtest.h>
 
@@ -11,14 +12,16 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "nn/autodiff.hpp"
+#include "lowering/gemm.hpp"
+#include "lowering/im2col.hpp"
 #include "nn/conv.hpp"
-#include "nn/gemm.hpp"
 #include "nn/graph.hpp"
-#include "nn/im2col.hpp"
 #include "nn/workspace.hpp"
 #include "nn_test_util.hpp"
 
@@ -39,9 +42,12 @@ std::vector<float> random_vec(std::size_t n, Rng& rng, double scale = 1.0) {
   return v;
 }
 
+using test::col2im;
 using test::conv2d_ref_backward;
 using test::conv2d_ref_forward;
+using test::im2col;
 using test::random_tensor;
+using test::sgemm;
 using test::sgemm_ref;
 
 void check_sgemm(bool ta, bool tb, std::size_t m, std::size_t n,
@@ -176,19 +182,21 @@ struct DirectCase {
   std::size_t batch, in_ch, out_ch, k, groups, h, w;
 };
 
-/// Runs both forwards on the same data and requires identical bytes (NaN
-/// payloads and signed zeros included), not closeness. `nan_any_payload`
-/// relaxes exactly one thing: a NaN may differ from a NaN.
-void expect_same_bits(const DirectCase& c, const std::vector<float>& x,
-                      const std::vector<float>& w, const float* bias,
-                      bool nan_any_payload = false) {
-  const std::size_t n = c.batch * c.out_ch * c.h * c.w;
-  std::vector<float> want(n, -1.0f), got(n, -2.0f);
-  im2col_sgemm_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
-                       c.out_ch, c.k, c.groups, want.data());
-  conv2d_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
-                 c.out_ch, c.k, c.groups, got.data());
-  if (std::memcmp(want.data(), got.data(), n * sizeof(float)) == 0) return;
+std::string describe(const DirectCase& c) {
+  std::ostringstream os;
+  os << "B=" << c.batch << " C=" << c.in_ch << "->" << c.out_ch
+     << " k=" << c.k << " groups=" << c.groups << " H=" << c.h
+     << " W=" << c.w;
+  return os.str();
+}
+
+/// Requires identical bytes (NaN payloads and signed zeros included), not
+/// closeness. `nan_any_payload` relaxes exactly one thing: a NaN may differ
+/// from a NaN.
+void expect_bytes_equal(const float* want, const float* got, std::size_t n,
+                        const std::string& what,
+                        bool nan_any_payload = false) {
+  if (std::memcmp(want, got, n * sizeof(float)) == 0) return;
   std::size_t i = 0;
   while (i < n && (std::memcmp(&want[i], &got[i], sizeof(float)) == 0 ||
                    (nan_any_payload && std::isnan(want[i]) &&
@@ -198,10 +206,22 @@ void expect_same_bits(const DirectCase& c, const std::vector<float>& x,
   std::uint32_t wbits, gbits;
   std::memcpy(&wbits, &want[i], sizeof wbits);
   std::memcpy(&gbits, &got[i], sizeof gbits);
-  ADD_FAILURE() << "B=" << c.batch << " C=" << c.in_ch << "->" << c.out_ch
-                << " k=" << c.k << " groups=" << c.groups << " H=" << c.h
-                << " W=" << c.w << ": first differing element " << i
-                << " want 0x" << std::hex << wbits << " got 0x" << gbits;
+  ADD_FAILURE() << what << ": first differing element " << i << " want 0x"
+                << std::hex << wbits << " got 0x" << gbits;
+}
+
+/// Runs both forwards on the same data and requires identical bytes.
+void expect_same_bits(const DirectCase& c, const std::vector<float>& x,
+                      const std::vector<float>& w, const float* bias,
+                      bool nan_any_payload = false) {
+  const std::size_t n = c.batch * c.out_ch * c.h * c.w;
+  std::vector<float> want(n, -1.0f), got(n, -2.0f);
+  im2col_sgemm_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
+                       c.out_ch, c.k, c.groups, want.data());
+  conv2d_forward(x.data(), w.data(), bias, c.batch, c.in_ch, c.h, c.w,
+                 c.out_ch, c.k, c.groups, got.data());
+  expect_bytes_equal(want.data(), got.data(), n, describe(c),
+                     nan_any_payload);
 }
 
 void expect_same_bits_random(const DirectCase& c, Rng& rng,
@@ -292,6 +312,247 @@ TEST(DirectConv, NonFiniteValuesPropagateIdentically) {
       expect_same_bits(c, x, w, bias.data(), !exact);   // both
     }
   }
+}
+
+// ------------------------- direct conv backward == im2col + sgemm + col2im --
+
+/// The conv backward the direct kernels replaced, per (image, group): the
+/// data gradient through the transposed GEMM (then col2im for k > 1), the
+/// weight gradient through im2col and a GEMM into a per-image accumulator
+/// (images added onto gw in order), and the bias as a double sum. For k = 1
+/// and !first the GEMM's sum is added as sum + gx (the lowering itself
+/// overwrote gx there, dropping the other consumer's gradient).
+void lowered_conv_backward(const float* x, const float* w, const float* go,
+                           const DirectCase& c, bool first, float* gx,
+                           float* gw, float* gb) {
+  const std::size_t hw = c.h * c.w, icg = c.in_ch / c.groups;
+  const std::size_t ocg = c.out_ch / c.groups, kk = icg * c.k * c.k;
+  const std::size_t wsize = c.out_ch * kk;
+  if (gx != nullptr && c.k > 1 && first)
+    std::fill(gx, gx + c.batch * c.in_ch * hw, 0.0f);
+  std::vector<float> col(kk * hw), acc(c.batch * wsize, 0.0f);
+  for (std::size_t b = 0; b < c.batch; ++b)
+    for (std::size_t g = 0; g < c.groups; ++g) {
+      const float* xg = x + (b * c.in_ch + g * icg) * hw;
+      const float* gog = go + (b * c.out_ch + g * ocg) * hw;
+      const float* wg = w + g * ocg * kk;
+      if (gx != nullptr) {
+        float* gxg = gx + (b * c.in_ch + g * icg) * hw;
+        if (c.k == 1 && first) {
+          sgemm(true, false, icg, hw, ocg, 1.0f, wg, icg, gog, hw, 0.0f, gxg,
+                hw);
+        } else if (c.k == 1) {
+          sgemm(true, false, icg, hw, ocg, 1.0f, wg, icg, gog, hw, 0.0f,
+                col.data(), hw);
+          for (std::size_t i = 0; i < icg * hw; ++i) gxg[i] = col[i] + gxg[i];
+        } else {
+          sgemm(true, false, kk, hw, ocg, 1.0f, wg, kk, gog, hw, 0.0f,
+                col.data(), hw);
+          col2im(col.data(), icg, c.h, c.w, c.k, gxg);
+        }
+      }
+      if (gw != nullptr) {
+        if (c.k > 1) im2col(xg, icg, c.h, c.w, c.k, col.data());
+        sgemm(false, true, ocg, kk, hw, 1.0f, gog, hw,
+              c.k == 1 ? xg : col.data(), hw, 1.0f,
+              acc.data() + b * wsize + g * ocg * kk, kk);
+      }
+    }
+  if (gw != nullptr)
+    for (std::size_t b = 0; b < c.batch; ++b)
+      for (std::size_t i = 0; i < wsize; ++i) gw[i] += acc[b * wsize + i];
+  if (gb != nullptr)
+    for (std::size_t oc = 0; oc < c.out_ch; ++oc) {
+      double s = 0.0;
+      for (std::size_t b = 0; b < c.batch; ++b)
+        for (std::size_t i = 0; i < hw; ++i)
+          s += go[(b * c.out_ch + oc) * hw + i];
+      gb[oc] += static_cast<float>(s);
+    }
+}
+
+/// The tensors of one backward call: x, w, go and the prior contents of
+/// gx (used when !first), gw and gb.
+struct BackwardData {
+  std::vector<float> x, w, go, gx0, gw0, gb0;
+};
+
+BackwardData random_backward_data(const DirectCase& c, Rng& rng) {
+  const std::size_t xn = c.batch * c.in_ch * c.h * c.w;
+  const std::size_t wn = c.out_ch * (c.in_ch / c.groups) * c.k * c.k;
+  BackwardData d{random_vec(xn, rng), random_vec(wn, rng),
+                 random_vec(c.batch * c.out_ch * c.h * c.w, rng),
+                 random_vec(xn, rng), random_vec(wn, rng),
+                 random_vec(c.out_ch, rng)};
+  // Signed zeros: -0.0 prior gradients only survive an accumulation that
+  // adds nothing onto them, and zero operands make zero products.
+  for (std::size_t i = 0; i < xn; i += 7) d.gx0[i] = -0.0f;
+  for (std::size_t i = 3; i < xn; i += 11) d.x[i] = -0.0f;
+  for (std::size_t i = 5; i < d.go.size(); i += 13) d.go[i] = 0.0f;
+  return d;
+}
+
+/// Runs the direct and the lowered backward on the same data, for the
+/// given outputs (a null-skipped gradient is skipped by both), and
+/// requires identical bytes for every gradient.
+void expect_same_backward(const DirectCase& c, const BackwardData& d,
+                          bool first, bool want_gx, bool want_gw,
+                          bool nan_any_payload = false) {
+  // A first write must not read gx: start it from a poison value.
+  std::vector<float> gx_want = first ? std::vector<float>(d.gx0.size(), 7.5f)
+                                     : d.gx0;
+  std::vector<float> gx_got = gx_want;
+  std::vector<float> gw_want = d.gw0, gw_got = d.gw0;
+  std::vector<float> gb_want = d.gb0, gb_got = d.gb0;
+  lowered_conv_backward(d.x.data(), d.w.data(), d.go.data(), c, first,
+                        want_gx ? gx_want.data() : nullptr,
+                        want_gw ? gw_want.data() : nullptr, gb_want.data());
+  conv2d_backward(d.x.data(), d.w.data(), d.go.data(), c.batch, c.in_ch,
+                  c.h, c.w, c.out_ch, c.k, c.groups, first,
+                  want_gx ? gx_got.data() : nullptr,
+                  want_gw ? gw_got.data() : nullptr, gb_got.data());
+  const std::string at =
+      describe(c) + (first ? " first" : " accumulate") + " gradient of ";
+  expect_bytes_equal(gx_want.data(), gx_got.data(), gx_want.size(), at + "x",
+                     nan_any_payload);
+  expect_bytes_equal(gw_want.data(), gw_got.data(), gw_want.size(), at + "w",
+                     nan_any_payload);
+  expect_bytes_equal(gb_want.data(), gb_got.data(), gb_want.size(), at + "b",
+                     nan_any_payload);
+}
+
+void expect_same_backward_random(const DirectCase& c, Rng& rng) {
+  const BackwardData d = random_backward_data(c, rng);
+  for (bool first : {true, false})
+    expect_same_backward(c, d, first, /*want_gx=*/true, /*want_gw=*/true);
+}
+
+TEST(DirectConvBackward, BitIdenticalToLoweringAcrossShapes) {
+  // Channel layouts for each weight-gradient lane choice: lanes over output
+  // channels (4 -> 10: a full and a partial 8-lane block), over input
+  // channels (10 -> 3), two groups of 3 -> 2, and depthwise over 4 and 9
+  // channels. Widths give ragged pixel runs and planes narrower than the
+  // halo; W = 257 puts the 240-pixel block edge mid-row.
+  struct Channels {
+    std::size_t in, out, groups;
+  };
+  const Channels layouts[] = {
+      {4, 10, 1}, {10, 3, 1}, {6, 4, 2}, {4, 4, 4}, {9, 9, 9}};
+  Rng rng(411);
+  for (std::size_t k : {1, 3, 5})
+    for (const Channels& ch : layouts)
+      for (std::size_t batch : {1, 3})
+        for (std::size_t w : {1, 2, 7, 8, 9, 257})
+          for (std::size_t h : {1, 3})
+            expect_same_backward_random(
+                {batch, ch.in, ch.out, k, ch.groups, h, w}, rng);
+}
+
+TEST(DirectConvBackward, BitIdenticalAcrossTheBlockEdges) {
+  // Planes of 239, 240, 241 and 481 pixels around the 240-pixel block of
+  // the weight gradient, and more than 240 output channels for the data
+  // gradient's oc blocks (k = 1 through the forward kernel, k = 3 through
+  // the row sums).
+  Rng rng(412);
+  const DirectCase cases[] = {
+      {2, 3, 5, 3, 1, 1, 239},  {2, 3, 5, 3, 1, 16, 15},
+      {2, 3, 5, 3, 1, 1, 241},  {1, 5, 3, 3, 1, 13, 37},
+      {2, 4, 4, 3, 4, 16, 15},  {1, 9, 9, 3, 9, 13, 37},
+      {1, 2, 250, 1, 1, 4, 9},  {1, 2, 250, 3, 1, 4, 9},
+      {2, 4, 490, 1, 2, 3, 5},  {1, 3, 481, 1, 1, 1, 241},
+  };
+  for (const DirectCase& c : cases) expect_same_backward_random(c, rng);
+}
+
+TEST(DirectConvBackward, SkippedGradientsStaySkipped) {
+  // A null gx (the network input) or a null gw: the other gradients still
+  // come out byte-identical, first and accumulating.
+  Rng rng(413);
+  const DirectCase cases[] = {
+      {2, 6, 24, 3, 1, 9, 11}, {3, 24, 2, 3, 1, 9, 11},
+      {2, 24, 24, 3, 24, 9, 11}, {2, 24, 24, 1, 1, 9, 11}};
+  for (const DirectCase& c : cases) {
+    const BackwardData d = random_backward_data(c, rng);
+    for (bool first : {true, false}) {
+      expect_same_backward(c, d, first, /*want_gx=*/false, /*want_gw=*/true);
+      expect_same_backward(c, d, first, /*want_gx=*/true, /*want_gw=*/false);
+    }
+  }
+}
+
+TEST(DirectConvBackward, ZeroTapsKeepTheSignOfZero) {
+  // go = 0 everywhere and gx = -0.0 before an accumulating write: every tap
+  // value is a sum from +0.0f of +-0 products, so it is +0.0f and turns
+  // each -0.0 into +0.0. A tap that skipped the +0.0f start would add the
+  // product's -0.0 and leave -0.0 behind.
+  Rng rng(416);
+  const DirectCase cases[] = {
+      {2, 3, 4, 3, 1, 5, 7}, {2, 4, 4, 3, 4, 5, 7}, {2, 3, 4, 1, 1, 5, 7}};
+  for (const DirectCase& c : cases) {
+    BackwardData d = random_backward_data(c, rng);
+    std::fill(d.go.begin(), d.go.end(), 0.0f);
+    std::fill(d.gx0.begin(), d.gx0.end(), -0.0f);
+    expect_same_backward(c, d, /*first=*/false, true, true);
+  }
+}
+
+TEST(DirectConvBackward, NonFiniteValuesPropagateIdentically) {
+  // NaN and +-Inf in x, go and w. An Inf in go meets the zero halo in the
+  // weight gradient (Inf * 0 = NaN must still be added); an Inf weight on
+  // a tap whose output pixel is off the plane must still be skipped by the
+  // data gradient. Same NaN convention as the forward test above.
+  Rng rng(414);
+  const float inf = std::numeric_limits<float>::infinity();
+  const volatile float zero = 0.0f;
+  const float default_nan = inf * zero;
+  const float other_nan = std::numeric_limits<float>::quiet_NaN();
+  const DirectCase cases[] = {
+      {2, 3, 10, 3, 1, 7, 9}, {2, 10, 3, 3, 1, 7, 9}, {2, 9, 9, 3, 9, 7, 9},
+      {1, 4, 6, 5, 2, 4, 6},  {2, 5, 3, 1, 1, 3, 10},
+  };
+  for (const DirectCase& c : cases) {
+    const BackwardData d0 = random_backward_data(c, rng);
+    for (const float nan : {default_nan, other_nan}) {
+      const bool exact = std::memcmp(&nan, &default_nan, sizeof nan) == 0;
+      for (int which = 0; which < 3; ++which) {
+        BackwardData d = d0;
+        std::vector<float>& v = which == 0 ? d.x : which == 1 ? d.go : d.w;
+        v[0] = nan;
+        v[v.size() / 2] = inf;
+        v[v.size() - 1] = -inf;
+        for (bool first : {true, false})
+          expect_same_backward(c, d, first, true, true, !exact);
+      }
+    }
+  }
+}
+
+TEST(DirectConvBackward, ReluBackwardBytes) {
+  // Both passes, against their definitions, over NaN, +-0 and +-Inf
+  // inputs and a length that spans several pool tasks.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-0.0f, 0.0f, nan, inf, -inf, 1e-40f, -1e-40f};
+  const std::size_t n = 70001;
+  Rng rng(415);
+  std::vector<float> x = random_vec(n, rng), go = random_vec(n, rng);
+  std::vector<float> gx0 = random_vec(n, rng);
+  for (std::size_t i = 0; i < n; i += 3) x[i] = specials[(i / 3) % 7];
+  for (std::size_t i = 1; i < n; i += 5) gx0[i] = -0.0f;
+  for (std::size_t i = 2; i < n; i += 9) go[i] = specials[(i / 9) % 7];
+
+  std::vector<float> want(n), got(n, 7.5f);
+  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] <= 0.0f ? 0.0f : go[i];
+  relu_backward(x.data(), go.data(), n, /*first=*/true, got.data());
+  expect_bytes_equal(want.data(), got.data(), n, "relu first");
+
+  got = gx0;
+  for (std::size_t i = 0; i < n; ++i) {
+    want[i] = gx0[i];
+    if (x[i] > 0.0f) want[i] += go[i];
+  }
+  relu_backward(x.data(), go.data(), n, /*first=*/false, got.data());
+  expect_bytes_equal(want.data(), got.data(), n, "relu accumulate");
 }
 
 struct ConvCase {

@@ -87,6 +87,26 @@ TEST(Sz, AbsoluteModeBound) {
             0.05 * (1.0 + 1e-9));
 }
 
+TEST(Sz, RangeWiderThanFloatMaxRoundTripsWithinRelativeBound) {
+  // A finite 32x32 field alternating about +-3e38: max - min = 6e38 is
+  // past FLT_MAX, so only a double range resolves a finite relative bound.
+  Rng rng(77);
+  F32Array a(Shape{32, 32});
+  for (std::size_t i = 0; i < a.size(); ++i)
+    a[i] = static_cast<float>((i % 2 == 0 ? 3e38 : -3e38) *
+                              (1.0 - 1e-3 * rng.uniform()));
+  const Field field("wide", std::move(a));
+  EXPECT_GT(field.value_range(), 5.9e38);
+
+  SzOptions opt;
+  opt.eb = ErrorBound::relative(1e-3);
+  const Field out = sz_decompress(sz_compress(field, opt));
+  const double abs_eb = opt.eb.absolute_for(field.value_range());
+  ASSERT_TRUE(std::isfinite(abs_eb));
+  EXPECT_LE(max_abs_error(field.array().span(), out.array().span()),
+            test::bound_tolerance(abs_eb, field));
+}
+
 TEST(Sz, ConstantFieldCompressesExtremely) {
   const Field field = make_field("constant", Shape{64, 64}, 0);
   SzOptions opt;
