@@ -14,10 +14,14 @@
 ///     wall time is `after_wall_ms` (the state the PR shipped in).
 /// The parser is a tolerant scanner, not a JSON validator: it collects
 /// every innermost object carrying a "name" string plus a wall-time
-/// number, which is exactly the record shape both formats share.
+/// number, which is exactly the record shape both formats share. A
+/// baseline may also carry a "gate_baseline" array (the tripwire values
+/// the gate compares against); its records win over same-named records
+/// elsewhere in the document, wherever the array sits.
 
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -81,26 +85,47 @@ inline bool find_string(const std::string& text, const std::string& key,
 
 }  // namespace detail
 
-/// Every record in `json_text` (either shape above). A record needs a
-/// "name" and one of "after_wall_ms" (preferred: trajectory baselines) or
-/// "wall_ms"; value-only records (ratios, byte counts) are skipped.
+/// Every record in `json_text` (either shape above), the "gate_baseline"
+/// array's records first. A record needs a "name" and one of
+/// "after_wall_ms" (preferred: trajectory baselines) or "wall_ms";
+/// value-only records (ratios, byte counts) are skipped.
 inline std::vector<CompareRecord> parse_bench_records(
     const std::string& json_text) {
-  std::vector<CompareRecord> out;
+  std::vector<CompareRecord> gate, rest;
   // Scan for innermost objects — records are leaves in both formats.
   bool in_string = false, escaped = false;
   std::vector<std::size_t> stack;       // '{' positions
   std::vector<bool> has_child;          // parallel: saw a nested object
+  std::size_t str_start = 0;
+  std::string last_str;                 // the most recent string token
+  std::size_t last_str_end = 0;         // index of its closing quote
+  std::size_t arrays = 0;               // '[' nesting depth
+  std::size_t gate_depth = 0;           // depth of "gate_baseline"; 0 = out
   for (std::size_t i = 0; i < json_text.size(); ++i) {
     const char c = json_text[i];
     if (in_string) {
       if (escaped) escaped = false;
       else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
+      else if (c == '"') {
+        in_string = false;
+        last_str = json_text.substr(str_start, i - str_start);
+        last_str_end = i;
+      }
       continue;
     }
     if (c == '"') {
       in_string = true;
+      str_start = i + 1;
+    } else if (c == '[') {
+      ++arrays;
+      // `"gate_baseline" : [` — only separators between key and array.
+      const bool keyed =
+          last_str == "gate_baseline" &&
+          json_text.find_first_not_of(" \t\r\n:", last_str_end + 1) == i;
+      if (gate_depth == 0 && keyed) gate_depth = arrays;
+    } else if (c == ']') {
+      if (arrays == gate_depth) gate_depth = 0;
+      if (arrays > 0) --arrays;
     } else if (c == '{') {
       if (!stack.empty()) has_child.back() = true;
       stack.push_back(i);
@@ -118,10 +143,12 @@ inline std::vector<CompareRecord> parse_bench_records(
       if (!detail::find_number(obj, "after_wall_ms", &rec.wall_ms) &&
           !detail::find_number(obj, "wall_ms", &rec.wall_ms))
         continue;
-      out.push_back(std::move(rec));
+      (gate_depth != 0 ? gate : rest).push_back(std::move(rec));
     }
   }
-  return out;
+  gate.insert(gate.end(), std::make_move_iterator(rest.begin()),
+              std::make_move_iterator(rest.end()));
+  return gate;
 }
 
 /// Diffs `fresh` against `baseline` by record name (first occurrence

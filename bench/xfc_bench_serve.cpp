@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_appender.hpp"
 #include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/tile.hpp"
@@ -381,12 +380,12 @@ int main(int argc, char** argv) {
       // Each iteration re-seals the same epoch: the sink's resume
       // truncates the previous run's epoch back off the file first.
       AppendFileSink sink(path, sealed);
-      ArchiveAppender appender(sink, file_reader);
+      ArchiveWriter writer(sink, file_reader);
       ArchiveFieldOptions opts;
       opts.eb = ErrorBound::relative(1e-3);
       opts.tile = Shape{64, 64};
-      appender.append_field(epoch_field, opts);
-      appender.finish_epoch();
+      writer.add_field(epoch_field, opts);
+      writer.finish();
     });
     json.add("ingest_append_epoch_256", append_ms, field_bytes);
 

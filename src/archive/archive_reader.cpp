@@ -136,6 +136,101 @@ Field archive_decode_tile(std::span<const std::uint8_t> body, CodecId expected,
   throw CorruptStream("archive: unsupported tile codec");
 }
 
+std::vector<ArchiveFieldInfo> parse_archive_index(
+    std::span<const std::uint8_t> footer, std::uint64_t footer_offset) {
+  ByteReader in(footer);
+  const auto fmagic = in.raw(4);
+  for (std::size_t i = 0; i < 4; ++i)
+    if (fmagic[i] != kFooterMagic[i])
+      throw CorruptStream("archive: bad footer magic");
+
+  const std::uint64_t n_fields = in.varint();
+  // Declared counts are checked against the bytes actually present before
+  // any proportional allocation (a crafted index must not buy allocations
+  // it did not pay for in footer bytes); the smallest field record is well
+  // over 8 bytes.
+  if (n_fields > kMaxFields || n_fields > in.remaining() / 8)
+    throw CorruptStream("archive: absurd field count");
+  std::vector<ArchiveFieldInfo> out;
+  out.reserve(n_fields);
+
+  std::set<std::string> seen_names;
+  for (std::uint64_t fi = 0; fi < n_fields; ++fi) {
+    ArchiveFieldInfo f;
+    f.name = in.str();
+    if (f.name.empty()) throw CorruptStream("archive: empty field name");
+    if (!seen_names.insert(f.name).second)
+      throw CorruptStream("archive: duplicate field name in index");
+
+    const std::uint8_t codec = in.u8();
+    if (codec > static_cast<std::uint8_t>(CodecId::kSzClassic))
+      throw CorruptStream("archive: unknown codec id in index");
+    f.codec = static_cast<CodecId>(codec);
+    const std::uint8_t flags = in.u8();
+    if (flags > 3) throw CorruptStream("archive: unknown field flags");
+    f.cross_field = (flags & 1) != 0;
+    if (f.cross_field != (f.codec == CodecId::kCrossField))
+      throw CorruptStream("archive: cross-field flag/codec mismatch");
+    // Bit 1: an append epoch follows. Only ever set for epoch > 0, so the
+    // canonical write-once footer stays byte-identical to the frozen
+    // format (golden archives, writer-byte stability).
+    if ((flags & 2) != 0) {
+      const std::uint64_t epoch = in.varint();
+      if (epoch == 0 || epoch > 0xFFFFFFFFull)
+        throw CorruptStream("archive: bad field epoch");
+      f.epoch = static_cast<std::uint32_t>(epoch);
+    }
+
+    f.eb_mode = in.u8();
+    if (f.eb_mode > 1) throw CorruptStream("archive: bad error-bound mode");
+    f.eb_value = in.f64();
+    f.abs_eb = in.f64();
+    if (!(f.abs_eb > 0.0) || !std::isfinite(f.abs_eb))
+      throw CorruptStream("archive: bad absolute error bound");
+
+    f.shape = read_shape(in);
+    f.tile = read_shape(in);
+    if (f.tile.ndim() != f.shape.ndim())
+      throw CorruptStream("archive: tile rank disagrees with field rank");
+
+    if (f.cross_field) {
+      const std::uint64_t n_anchors = in.varint();
+      if (n_anchors == 0 || n_anchors > kMaxAnchors)
+        throw CorruptStream("archive: bad anchor count");
+      for (std::uint64_t i = 0; i < n_anchors; ++i) {
+        f.anchors.push_back(in.str());
+        if (f.anchors.back().empty() || f.anchors.back() == f.name)
+          throw CorruptStream("archive: bad anchor name");
+      }
+    }
+
+    const TileGrid grid(f.shape, f.tile);
+    const std::uint64_t n_tiles = in.varint();
+    if (n_tiles != grid.num_tiles())
+      throw CorruptStream(
+          "archive: tile count disagrees with the field geometry");
+    // Each entry is at least 1+1+4 bytes; a geometry engineered to claim
+    // billions of tiles runs out of footer long before the reserve.
+    if (n_tiles > in.remaining() / 6)
+      throw CorruptStream("archive: tile index exceeds the footer");
+    f.tiles.reserve(n_tiles);
+    for (std::uint64_t i = 0; i < n_tiles; ++i) {
+      ArchiveTileInfo t;
+      t.offset = in.varint();
+      t.size = in.varint();
+      t.crc = in.u32();
+      if (t.offset < kArchiveHeaderSize || t.offset > footer_offset ||
+          t.size > footer_offset - t.offset)
+        throw CorruptStream("archive: tile body out of bounds");
+      f.tiles.push_back(t);
+    }
+    out.push_back(std::move(f));
+  }
+  if (!in.exhausted())
+    throw CorruptStream("archive: trailing bytes after the field index");
+  return out;
+}
+
 ArchiveReader::ArchiveReader(std::unique_ptr<ByteSource> source)
     : source_(std::move(source)) {
   parse_index();
@@ -250,97 +345,7 @@ void ArchiveReader::parse_index_at(std::size_t logical_end,
   const auto footer = source_->read_vec(footer_offset, footer_size);
   if (Crc32::of(footer) != footer_crc)
     throw CorruptStream("archive: footer CRC mismatch (corrupted index)");
-
-  ByteReader in(footer);
-  const auto fmagic = in.raw(4);
-  for (std::size_t i = 0; i < 4; ++i)
-    if (fmagic[i] != kFooterMagic[i])
-      throw CorruptStream("archive: bad footer magic");
-
-  const std::uint64_t n_fields = in.varint();
-  // Declared counts are checked against the bytes actually present before
-  // any proportional allocation (a crafted index must not buy allocations
-  // it did not pay for in footer bytes); the smallest field record is well
-  // over 8 bytes.
-  if (n_fields > kMaxFields || n_fields > in.remaining() / 8)
-    throw CorruptStream("archive: absurd field count");
-  out.clear();
-  out.reserve(n_fields);
-
-  std::set<std::string> seen_names;
-  for (std::uint64_t fi = 0; fi < n_fields; ++fi) {
-    ArchiveFieldInfo f;
-    f.name = in.str();
-    if (f.name.empty()) throw CorruptStream("archive: empty field name");
-    if (!seen_names.insert(f.name).second)
-      throw CorruptStream("archive: duplicate field name in index");
-
-    const std::uint8_t codec = in.u8();
-    if (codec > static_cast<std::uint8_t>(CodecId::kSzClassic))
-      throw CorruptStream("archive: unknown codec id in index");
-    f.codec = static_cast<CodecId>(codec);
-    const std::uint8_t flags = in.u8();
-    if (flags > 3) throw CorruptStream("archive: unknown field flags");
-    f.cross_field = (flags & 1) != 0;
-    if (f.cross_field != (f.codec == CodecId::kCrossField))
-      throw CorruptStream("archive: cross-field flag/codec mismatch");
-    // Bit 1: an append epoch follows. Only ever set for epoch > 0, so the
-    // canonical write-once footer stays byte-identical to the frozen
-    // format (golden archives, writer-byte stability).
-    if ((flags & 2) != 0) {
-      const std::uint64_t epoch = in.varint();
-      if (epoch == 0 || epoch > 0xFFFFFFFFull)
-        throw CorruptStream("archive: bad field epoch");
-      f.epoch = static_cast<std::uint32_t>(epoch);
-    }
-
-    f.eb_mode = in.u8();
-    if (f.eb_mode > 1) throw CorruptStream("archive: bad error-bound mode");
-    f.eb_value = in.f64();
-    f.abs_eb = in.f64();
-    if (!(f.abs_eb > 0.0) || !std::isfinite(f.abs_eb))
-      throw CorruptStream("archive: bad absolute error bound");
-
-    f.shape = read_shape(in);
-    f.tile = read_shape(in);
-    if (f.tile.ndim() != f.shape.ndim())
-      throw CorruptStream("archive: tile rank disagrees with field rank");
-
-    if (f.cross_field) {
-      const std::uint64_t n_anchors = in.varint();
-      if (n_anchors == 0 || n_anchors > kMaxAnchors)
-        throw CorruptStream("archive: bad anchor count");
-      for (std::uint64_t i = 0; i < n_anchors; ++i) {
-        f.anchors.push_back(in.str());
-        if (f.anchors.back().empty() || f.anchors.back() == f.name)
-          throw CorruptStream("archive: bad anchor name");
-      }
-    }
-
-    const TileGrid grid(f.shape, f.tile);
-    const std::uint64_t n_tiles = in.varint();
-    if (n_tiles != grid.num_tiles())
-      throw CorruptStream(
-          "archive: tile count disagrees with the field geometry");
-    // Each entry is at least 1+1+4 bytes; a geometry engineered to claim
-    // billions of tiles runs out of footer long before the reserve.
-    if (n_tiles > in.remaining() / 6)
-      throw CorruptStream("archive: tile index exceeds the footer");
-    f.tiles.reserve(n_tiles);
-    for (std::uint64_t i = 0; i < n_tiles; ++i) {
-      ArchiveTileInfo t;
-      t.offset = in.varint();
-      t.size = in.varint();
-      t.crc = in.u32();
-      if (t.offset < kArchiveHeaderSize || t.offset > footer_offset ||
-          t.size > footer_offset - t.offset)
-        throw CorruptStream("archive: tile body out of bounds");
-      f.tiles.push_back(t);
-    }
-    out.push_back(std::move(f));
-  }
-  if (!in.exhausted())
-    throw CorruptStream("archive: trailing bytes after the field index");
+  out = parse_archive_index(footer, footer_offset);
 }
 
 const ArchiveFieldInfo* ArchiveReader::find(const std::string& name) const {

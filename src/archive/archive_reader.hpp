@@ -121,6 +121,15 @@ struct ArchiveFieldInfo {
 /// DAG and terminate.
 void validate_anchor_graph(const std::vector<ArchiveFieldInfo>& fields);
 
+/// Parses a footer index — the CRC-checked bytes a trailer points at,
+/// starting with the "XFAF" magic — whose tile bodies must all end at or
+/// before `footer_offset`. Throws CorruptStream on any malformation. The
+/// reader parses every candidate commit point with it, and
+/// ArchiveWriter::finish parses the footer it is about to seal, so no
+/// writer publishes an index its reader refuses.
+std::vector<ArchiveFieldInfo> parse_archive_index(
+    std::span<const std::uint8_t> footer, std::uint64_t footer_offset);
+
 /// Anchor-tile provider for ArchiveReader::read_tile: returns the decoded
 /// tile `ordinal` of `field`'s own grid. A serving-layer cache injects
 /// itself here so anchor tiles decode once and get shared across requests.
@@ -153,7 +162,7 @@ class ArchiveReader {
 
   /// Logical size of the archive: one past the last byte of the trailer
   /// this reader committed to. Equals the source size unless recovery
-  /// discarded a torn tail. An ArchiveAppender resumes writing here.
+  /// discarded a torn tail. A resumed ArchiveWriter writes from here.
   std::size_t logical_size() const { return logical_size_; }
 
   /// Bytes past the last valid trailer that recovery-on-open discarded

@@ -32,9 +32,11 @@ class ByteSink {
   /// Forces buffered bytes to the OS; no-op for unbuffered sinks.
   virtual void flush() {}
   /// Durability barrier: every byte appended so far must be on stable
-  /// storage when this returns (fsync for file-backed sinks). The epoch
-  /// commit protocol orders its writes around this call, so a sink that
-  /// cannot provide the barrier must at least not reorder appends.
+  /// storage when this returns (fsync for AppendFileSink; FileSink only
+  /// flushes, because nothing is published before its commit() fsyncs).
+  /// The epoch commit protocol orders its writes around this call, so a
+  /// sink that cannot provide the barrier must at least not reorder
+  /// appends.
   virtual void sync() { flush(); }
   /// Marks the stream complete and publishes it atomically where the sink
   /// supports it (FileSink writes to a temp path and renames here, so a
@@ -46,8 +48,8 @@ class ByteSink {
 
 /// In-memory sink; `take()` hands the accumulated archive to the caller.
 /// The initial-bytes constructor seeds the sink with an existing archive so
-/// an ArchiveAppender can extend it in memory (size() continues from the
-/// seed, exactly like appending to a file).
+/// a resumed ArchiveWriter can extend it in memory (size() continues from
+/// the seed, exactly like appending to a file).
 class VectorSink final : public ByteSink {
  public:
   VectorSink() = default;
@@ -97,8 +99,9 @@ extern std::atomic<int> g_fail_dir_fsync_for_tests;
 }  // namespace detail
 
 /// In-place appending file sink — the storage half of the epoch-commit
-/// protocol. Unlike FileSink there is no temp file and no rename: bytes are
-/// written directly at the end of `path` (created if absent), because an
+/// protocol a resumed ArchiveWriter seals (archive_writer.hpp). Unlike
+/// FileSink there is no temp file and no rename: bytes are written
+/// directly at the end of `path` (created if absent), because an
 /// appendable archive's commit point is its newest valid trailer, not a
 /// directory entry. `resume_at` is the logical size of the last sealed
 /// epoch: any bytes past it (a torn tail from a previous crashed append)

@@ -10,7 +10,7 @@
 #include <optional>
 #include <set>
 
-#include "archive/archive_appender.hpp"
+#include "archive/archive_writer.hpp"
 #include "archive/tile.hpp"
 #include "core/error.hpp"
 #include "io/stream.hpp"
@@ -680,13 +680,13 @@ HttpResponse ArchiveService::handle_ingest(const std::string& field_name,
   std::uint32_t sealed_epoch = 0;
   try {
     AppendFileSink sink(config_.archive_path, snapshot->logical_size());
-    ArchiveAppender appender(sink, *snapshot);
+    ArchiveWriter writer(sink, *snapshot);
     const Field field(field_name, std::move(data));
     if (existed)
-      appender.replace_field(field, options);
+      writer.replace_field(field, options);
     else
-      appender.append_field(field, options);
-    sealed_epoch = appender.finish_epoch();
+      writer.add_field(field, options);
+    sealed_epoch = writer.finish();
   } catch (const InvalidArgument& e) {
     // The one 409 here: replacing a field that other fields anchor on
     // would break their bit-exact anchor contract.

@@ -47,14 +47,15 @@
 ///   PUT /field/<name>?shape=..&eb=..[&mode=rel|abs][&codec=sz|classic|
 ///       interp|zfp][&tile=..]     (only when ServiceConfig::archive_path
 ///       is set). Body: raw little-endian float32 values, row-major,
-///       exactly prod(shape) of them. Appends one crash-consistent epoch
-///       to the archive file (bodies -> fsync -> footer+trailer -> fsync;
-///       the trailer is the commit point), reopens it, swaps the serving
-///       snapshot and invalidates exactly the replaced field's cached
-///       tiles (positive and negative). A new field answers 201, a
-///       replacement 200; 403 when ingest is disabled, 503 + Retry-After
-///       while draining or not ready, 409 for a field other fields anchor
-///       on.
+///       exactly prod(shape) of them. Seals one crash-consistent epoch
+///       onto the archive file through a resumed ArchiveWriter (bodies ->
+///       fsync -> footer+trailer -> fsync; the trailer is the commit
+///       point), reopens it, swaps the serving snapshot and invalidates
+///       exactly the replaced field's cached tiles (positive and
+///       negative). A new field answers 201, a replacement 200; 400 for a
+///       body holding NaN or Inf (nothing is sealed), 403 when ingest is
+///       disabled, 503 + Retry-After while draining or not ready, 409 for
+///       a field other fields anchor on.
 ///
 /// Region requests additionally accept trace=1: the region is assembled
 /// as usual but the response is a JSON debug view of the request's span

@@ -108,11 +108,11 @@ class TileCache {
 
   /// Swaps the reader registered under `archive_id` for a fresh one — the
   /// live-ingest path, after an append sealed a new epoch and the file was
-  /// reopened. Field *indices* are stable across appends (the appender
-  /// substitutes replacements in place and adds new fields at the end), so
-  /// cached tiles of unchanged fields stay valid and warm; the caller
-  /// invalidates the fields the epoch actually replaced. Requests already
-  /// holding the old reader finish against it (it is shared). Throws
+  /// reopened. Field *indices* are stable across appends (the writer's
+  /// seal substitutes replacements in place and adds new fields at the
+  /// end), so cached tiles of unchanged fields stay valid and warm; the
+  /// caller invalidates the fields the epoch actually replaced. Requests
+  /// already holding the old reader finish against it (it is shared). Throws
   /// InvalidArgument for an unknown id, CorruptStream for a bad anchor
   /// graph.
   void update_archive(std::uint64_t archive_id,

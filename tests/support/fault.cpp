@@ -1,4 +1,4 @@
-#include "io/fault.hpp"
+#include "support/fault.hpp"
 
 #include <algorithm>
 #include <chrono>

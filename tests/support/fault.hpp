@@ -1,11 +1,11 @@
-#ifndef XFC_IO_FAULT_HPP
-#define XFC_IO_FAULT_HPP
+#ifndef XFC_TESTS_SUPPORT_FAULT_HPP
+#define XFC_TESTS_SUPPORT_FAULT_HPP
 
 /// \file fault.hpp
-/// Deterministic, seeded I/O fault injection for the chaos suite and for
-/// operational rehearsal of degraded-mode reads. The wrappers decorate the
-/// existing ByteSource/ByteSink interfaces (RandomAccessFile is covered by
-/// wrapping FileSource, its ByteSource adapter), so an ArchiveReader or
+/// Deterministic, seeded I/O fault injection for the chaos suite (a
+/// test-only library; libxfc does not contain it). The wrappers decorate
+/// the existing ByteSource/ByteSink interfaces (RandomAccessFile is covered
+/// by wrapping FileSource, its ByteSource adapter), so an ArchiveReader or
 /// ArchiveWriter runs against a faulty device without any format-code
 /// changes.
 ///
@@ -150,4 +150,4 @@ class FaultyByteSink final : public ByteSink {
 
 }  // namespace xfc
 
-#endif  // XFC_IO_FAULT_HPP
+#endif  // XFC_TESTS_SUPPORT_FAULT_HPP

@@ -9,12 +9,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 
 #include <unistd.h>
 
-#include "archive/archive_appender.hpp"
 #include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/tile.hpp"
@@ -492,6 +492,51 @@ TEST(Archive, TileCrcIsPositionAndFieldDependent) {
   EXPECT_EQ(base, archive_tile_crc("A", 0, body));
 }
 
+TEST(Archive, FinishRefusesAnIndexTheReaderRejects) {
+  // The reader caps a target at 255 anchors. A prebuilt target naming 256
+  // is well-formed for the writer's adders, so only the seal's re-parse of
+  // its own footer can catch it: finish() must throw and publish nothing.
+  const std::string path = ::testing::TempDir() + "xfc_test_anchor_cap." +
+                           std::to_string(::getpid()) + ".xfa";
+  const Field tile = smooth_field("t", Shape{4, 4}, 3);
+  SzOptions so;
+  so.eb = ErrorBound::absolute(1e-3);
+  const std::vector<std::uint8_t> body = sz_compress(tile, so);
+
+  ArchiveFieldInfo plain;
+  plain.codec = CodecId::kSz;
+  plain.eb_mode = static_cast<std::uint8_t>(ErrorBoundMode::kAbsolute);
+  plain.eb_value = 1e-3;
+  plain.abs_eb = 1e-3;
+  plain.shape = Shape{4, 4};
+  plain.tile = Shape{4, 4};
+  plain.tiles.resize(1);
+  ArchiveFieldInfo target = plain;
+  target.name = "target";
+  target.codec = CodecId::kCrossField;
+  target.cross_field = true;
+  {
+    FileSink sink(path);
+    ArchiveWriter writer(sink);
+    for (int i = 0; i < 256; ++i) {
+      plain.name = "a" + std::to_string(i);
+      target.anchors.push_back(plain.name);
+      writer.add_prebuilt_field(plain, [&](std::size_t) { return body; });
+    }
+    writer.add_prebuilt_field(target, [&](std::size_t) { return body; });
+    try {
+      writer.finish();
+      ADD_FAILURE() << "a 256-anchor target was sealed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad anchor count"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
 // -- Epoch appends -----------------------------------------------------------
 
 TEST(Archive, AppendEpochRoundTripsAndAnchorsOnSealedFields) {
@@ -525,12 +570,14 @@ TEST(Archive, AppendEpochRoundTripsAndAnchorsOnSealedFields) {
                                                   quick_train());
   const Field b = smooth_field("b", shape, 6);
   VectorSink sink(base);
-  ArchiveAppender appender(sink, r0);
-  appender.append_field(b, opts);
-  appender.append_cross_field(vx, {"a"}, model, opts);
-  EXPECT_EQ(appender.fields_pending(), 2u);
-  EXPECT_EQ(appender.finish_epoch(), 1u);
-  EXPECT_EQ(appender.fields_pending(), 0u);
+  ArchiveWriter writer(sink, r0);
+  writer.add_field(b, opts);
+  writer.add_cross_field(vx, {"a"}, model, opts);
+  EXPECT_EQ(writer.fields_written(), 2u);
+  EXPECT_EQ(writer.finish(), 1u);
+  // One writer seals one epoch.
+  EXPECT_THROW(writer.add_field(smooth_field("c", shape, 7), opts),
+               InvalidArgument);
   const std::vector<std::uint8_t> bytes = sink.take();
 
   const ArchiveReader r1 = ArchiveReader::open_memory(bytes);
@@ -573,9 +620,9 @@ TEST(Archive, ReplaceFieldKeepsIndexPositionAndSupersedesData) {
   // Replace "a" with a different shape and different data.
   const Field a2 = smooth_field("a", Shape{24, 20}, 77);
   VectorSink sink(base);
-  ArchiveAppender appender(sink, r0);
-  appender.replace_field(a2, opts);
-  EXPECT_EQ(appender.finish_epoch(), 1u);
+  ArchiveWriter writer(sink, r0);
+  writer.replace_field(a2, opts);
+  EXPECT_EQ(writer.finish(), 1u);
   const std::vector<std::uint8_t> bytes = sink.take();
 
   const ArchiveReader r1 = ArchiveReader::open_memory(bytes);
@@ -595,7 +642,7 @@ TEST(Archive, ReplaceFieldKeepsIndexPositionAndSupersedesData) {
   EXPECT_TRUE(r1.scrub().clean());
 }
 
-TEST(Archive, AppenderRejectsMisuse) {
+TEST(Archive, ResumedWriterRejectsMisuse) {
   ArchiveFieldOptions opts;
   opts.eb = ErrorBound::relative(1e-3);
   opts.tile = Shape{16, 16};
@@ -621,22 +668,28 @@ TEST(Archive, AppenderRejectsMisuse) {
   const ArchiveReader r0 = ArchiveReader::open_memory(base);
 
   VectorSink sink(base);
-  ArchiveAppender appender(sink, r0);
-  // Appending under a taken name, replacing a missing one, sealing an
-  // empty epoch: all typed errors before any byte lands.
-  EXPECT_THROW(appender.append_field(a, opts), InvalidArgument);
-  EXPECT_THROW(appender.replace_field(smooth_field("nope", Shape{8, 8}, 1),
-                                      opts),
+  ArchiveWriter writer(sink, r0);
+  // Adding under a taken name, replacing a missing one, sealing an empty
+  // epoch: all typed errors before any byte lands.
+  EXPECT_THROW(writer.add_field(a, opts), InvalidArgument);
+  EXPECT_THROW(writer.replace_field(smooth_field("nope", Shape{8, 8}, 1),
+                                    opts),
                InvalidArgument);
-  EXPECT_THROW(appender.finish_epoch(), InvalidArgument);
+  EXPECT_THROW(writer.finish(), InvalidArgument);
+  EXPECT_EQ(sink.size(), base.size());
   // Replacing an anchor would break the dependents' bit-exact anchor
-  // reconstructions.
-  EXPECT_THROW(appender.replace_field(smooth_field("a", Shape{8, 8}, 2), opts),
-               InvalidArgument);
+  // reconstructions; the refusal names the anchor (PUT maps it to 409).
+  try {
+    writer.replace_field(smooth_field("a", Shape{8, 8}, 2), opts);
+    ADD_FAILURE() << "replacing an anchor must throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("anchor"), std::string::npos)
+        << e.what();
+  }
   // A field appended this epoch without keep_reconstruction cannot anchor:
   // its reconstruction is not reachable until the file is reopened.
   const Field c = smooth_field("c", Shape{40, 48}, 9);
-  appender.append_field(c, opts);  // keep_reconstruction defaults false
+  writer.add_field(c, opts);  // keep_reconstruction defaults false
   Rng rng(32);
   Field dep("dep", F32Array(Shape{40, 48}));
   for (std::size_t i = 0; i < dep.size(); ++i)
@@ -644,16 +697,16 @@ TEST(Archive, AppenderRejectsMisuse) {
         static_cast<float>(0.7 * c.array()[i] + rng.normal(0, 0.05));
   const CfnnModel model = train_cross_field_model(
       dep, {&c}, CfnnConfig{8, 4, 3}, quick_train());
-  EXPECT_THROW(appender.append_cross_field(dep, {"c"}, model, opts),
+  EXPECT_THROW(writer.add_cross_field(dep, {"c"}, model, opts),
                InvalidArgument);
-  EXPECT_EQ(appender.fields_pending(), 1u);  // "c" alone survived
-  appender.finish_epoch();
+  EXPECT_EQ(writer.fields_written(), 1u);  // "c" alone survived
+  writer.finish();
   EXPECT_TRUE(
       ArchiveReader::open_memory(sink.bytes()).scrub().clean());
 
   // The sink must sit exactly at the sealed size the reader describes.
   VectorSink misaligned(std::vector<std::uint8_t>(base.size() + 3, 0));
-  EXPECT_THROW(ArchiveAppender(misaligned, r0), InvalidArgument);
+  EXPECT_THROW(ArchiveWriter(misaligned, r0), InvalidArgument);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "archive/archive_appender.hpp"
 #include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/repair.hpp"
@@ -38,7 +37,7 @@
 #include "core/error.hpp"
 #include "core/rng.hpp"
 #include "crossfield/crossfield.hpp"
-#include "io/fault.hpp"
+#include "support/fault.hpp"
 #include "io/stream.hpp"
 #include "obs/metrics.hpp"
 #include "server/http.hpp"
@@ -208,11 +207,11 @@ const EpochArchive& epoch_archive() {
     {
       const ArchiveReader r = ArchiveReader::open_memory(bytes);
       VectorSink sink(bytes);  // copy-seeded: continues past the seal
-      ArchiveAppender appender(sink, r);
+      ArchiveWriter epoch_writer(sink, r);
       ArchiveFieldOptions zopts = out.opts;
       zopts.codec = CodecId::kZfp;
-      appender.append_field(make("b", 12, 7.0), zopts);
-      appender.finish_epoch();
+      epoch_writer.add_field(make("b", 12, 7.0), zopts);
+      epoch_writer.finish();
       std::vector<std::uint8_t> next = sink.take();
       bytes = std::move(next);
     }
@@ -220,9 +219,9 @@ const EpochArchive& epoch_archive() {
     {
       const ArchiveReader r = ArchiveReader::open_memory(bytes);
       VectorSink sink(bytes);
-      ArchiveAppender appender(sink, r);
-      appender.replace_field(make("a", 13, 20.0), out.opts);
-      appender.finish_epoch();
+      ArchiveWriter epoch_writer(sink, r);
+      epoch_writer.replace_field(make("a", 13, 20.0), out.opts);
+      epoch_writer.finish();
       std::vector<std::uint8_t> next = sink.take();
       bytes = std::move(next);
     }
@@ -790,9 +789,9 @@ TEST(Chaos, AppendCrashPointSweepRecoversAndResumes) {
     AppendFileSink file(path, r.logical_size());
     auto injector = std::make_shared<FaultInjector>(FaultPlan{});
     FaultyByteSink sink(file, injector);
-    ArchiveAppender appender(sink, r);
-    appender.append_field(b_field, zopts);
-    EXPECT_EQ(appender.finish_epoch(), 1u);
+    ArchiveWriter epoch_writer(sink, r);
+    epoch_writer.add_field(b_field, zopts);
+    EXPECT_EQ(epoch_writer.finish(), 1u);
     total_calls = injector->counters().calls;
   }
   const std::size_t full_size = file_size(path);
@@ -825,11 +824,11 @@ TEST(Chaos, AppendCrashPointSweepRecoversAndResumes) {
     // truncated away by the resume) and seals it.
     {
       AppendFileSink file(path, r.logical_size());
-      ArchiveAppender appender(file, r);
+      ArchiveWriter epoch_writer(file, r);
       Field c = e.a0;
       c.set_name("c");
-      appender.append_field(c, e.opts);
-      appender.finish_epoch();
+      epoch_writer.add_field(c, e.opts);
+      epoch_writer.finish();
     }
     const ArchiveReader again = ArchiveReader::open_file(path);
     ASSERT_TRUE(again.scrub().clean()) << "crash point " << tag;
@@ -849,11 +848,11 @@ TEST(Chaos, AppendCrashPointSweepRecoversAndResumes) {
       plan.fail_calls = {k};
       auto injector = std::make_shared<FaultInjector>(plan);
       FaultyByteSink sink(file, injector);
-      ArchiveAppender appender(sink, r);
+      ArchiveWriter epoch_writer(sink, r);
       EXPECT_THROW(
           {
-            appender.append_field(b_field, zopts);
-            appender.finish_epoch();
+            epoch_writer.add_field(b_field, zopts);
+            epoch_writer.finish();
           },
           IoError)
           << "call " << k;
@@ -878,10 +877,10 @@ TEST(Chaos, AppendCrashPointSweepRecoversAndResumes) {
       plan.fail_after_bytes = threshold;
       auto injector = std::make_shared<FaultInjector>(plan);
       FaultyByteSink sink(file, injector);
-      ArchiveAppender appender(sink, r);
+      ArchiveWriter epoch_writer(sink, r);
       try {
-        appender.append_field(b_field, zopts);
-        appender.finish_epoch();
+        epoch_writer.add_field(b_field, zopts);
+        epoch_writer.finish();
       } catch (const IoError&) {
         threw = true;
       }

@@ -748,6 +748,28 @@ TEST(BenchCompare, ParsesRawAndTrajectoryFormats) {
   EXPECT_TRUE(bench::parse_bench_records("not json").empty());
 }
 
+TEST(BenchCompare, GateBaselineWinsWhateverItsPosition) {
+  // The gate's tripwire values sit in "gate_baseline"; a document that
+  // lists "benches" first must still gate on them, not on the first
+  // same-named record it meets.
+  const auto records = bench::parse_bench_records(
+      "{\"benches\":[{\"name\":\"a\",\"before_wall_ms\":2.0,"
+      "\"after_wall_ms\":4.0},{\"name\":\"b\",\"after_wall_ms\":3.0}],"
+      "\"note\":\"gate_baseline\",\"gate_baseline\": [{\"name\":\"a\","
+      "\"after_wall_ms\":1.0,\"from\":\"pr\"}],\"tail\":[{\"name\":\"c\","
+      "\"wall_ms\":5.0}]}");
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[0].name, "a");
+  EXPECT_DOUBLE_EQ(records[0].wall_ms, 1.0);
+
+  const std::vector<bench::CompareRecord> fresh = {{"a", 2.0}, {"b", 3.0}};
+  const bench::CompareResult r = bench::compare_benches(records, fresh, 1.25);
+  ASSERT_EQ(r.rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.rows[0].base_ms, 1.0);  // the gate value, not 4.0
+  EXPECT_TRUE(r.rows[0].regressed);
+  EXPECT_DOUBLE_EQ(r.rows[1].base_ms, 3.0);
+}
+
 TEST(BenchCompare, FlagsRegressionsPastThresholdOnly) {
   const std::vector<bench::CompareRecord> base = {
       {"a", 1.0}, {"b", 1.0}, {"tiny", 0.01}};

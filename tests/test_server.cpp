@@ -14,9 +14,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <thread>
 
-#include "archive/archive_appender.hpp"
 #include "archive/archive_reader.hpp"
 #include "archive/archive_writer.hpp"
 #include "archive/tile.hpp"
@@ -370,12 +370,12 @@ TEST(TileCacheTest, UpdateArchiveKeepsUnchangedFieldsWarm) {
 
   // Append an epoch in memory and swap the reader under the same id.
   VectorSink sink(storage);
-  ArchiveAppender appender(sink, *reader);
+  ArchiveWriter writer(sink, *reader);
   ArchiveFieldOptions opts;
   opts.eb = ErrorBound::relative(1e-3);
   opts.tile = Shape{32, 32};
-  appender.append_field(smooth_field("fresh", Shape{70, 90}, 99), opts);
-  appender.finish_epoch();
+  writer.add_field(smooth_field("fresh", Shape{70, 90}, 99), opts);
+  writer.finish();
   const std::vector<std::uint8_t> bytes = sink.take();
   auto fresh = std::make_shared<const ArchiveReader>(
       ArchiveReader::open_memory(bytes));
@@ -889,6 +889,44 @@ TEST(Service, IngestRefusesReplacingAnchoredField) {
   req.path = "/field/TGT";
   const auto ok = service.handle(req);
   EXPECT_EQ(ok.status, 200) << ok.body;
+  std::remove(path.c_str());
+}
+
+TEST(Service, IngestRefusesNonFiniteBodyWithoutSealing) {
+  const std::string path = ::testing::TempDir() + "xfc_server_nan." +
+                           std::to_string(::getpid()) + ".xfa";
+  {
+    FileSink sink(path);
+    ArchiveWriter writer(sink);
+    writer.add_field(smooth_field("base", Shape{24, 16}, 7));
+    writer.finish();
+  }
+  const std::size_t sealed_size = ArchiveReader::open_file(path).logical_size();
+  auto reader = std::make_shared<const ArchiveReader>(
+      ArchiveReader::open_file(path));
+  server::ServiceConfig sconfig;
+  sconfig.archive_path = path;
+  ArchiveService service(reader, sconfig);
+
+  std::vector<float> values(24 * 16, 1.5f);
+  values[100] = std::numeric_limits<float>::quiet_NaN();
+  HttpRequest req;
+  req.method = "PUT";
+  req.path = "/field/live";
+  // zfp is the codec that used to seal such a body, with a finite wrong
+  // value where the NaN was.
+  req.query = "shape=24,16&mode=abs&eb=0.01&codec=zfp";
+  req.body = f32_body(values);
+  const HttpResponse resp = service.handle(req);
+  EXPECT_EQ(resp.status, 400) << resp.body;
+  EXPECT_NE(resp.body.find("100"), std::string::npos) << resp.body;
+
+  // No epoch was sealed: the file is byte-for-byte the one epoch it was.
+  const ArchiveReader check = ArchiveReader::open_file(path);
+  EXPECT_EQ(check.epoch_count(), 1u);
+  EXPECT_EQ(check.logical_size(), sealed_size);
+  EXPECT_EQ(check.recovered_bytes_discarded(), 0u);
+  EXPECT_EQ(check.find("live"), nullptr);
   std::remove(path.c_str());
 }
 

@@ -148,6 +148,47 @@ TEST(NonFiniteBound, EveryArchiveCodecRejectsBeforeWriting) {
   }
 }
 
+TEST(NonFiniteInput, EveryArchiveCodecNamesTheFirstBadIndex) {
+  // One NaN mid-field: every codec used to do something different with it
+  // (zfp wrote back a finite wrong value, classic kept the NaN, sz and
+  // interp failed on a quantization-code overflow). The writer now refuses
+  // the field before any tile is compressed, under either bound mode, and
+  // the error names the offending flat index.
+  Field field = turbulent(Shape{32, 32}, 13);
+  field.array()[517] = std::numeric_limits<float>::quiet_NaN();
+  for (const ErrorBound eb :
+       {ErrorBound::absolute(1e-3), ErrorBound::relative(1e-3)}) {
+    for (const CodecId codec : {CodecId::kSz, CodecId::kSzClassic,
+                                CodecId::kInterp, CodecId::kZfp}) {
+      const std::string tag = "codec " +
+                              std::to_string(static_cast<int>(codec)) +
+                              " mode " +
+                              std::to_string(static_cast<int>(eb.mode()));
+      const std::string path = ::testing::TempDir() + "xfc_nan_" +
+                               std::to_string(static_cast<int>(codec)) +
+                               ".xfa";
+      {
+        FileSink sink(path);
+        ArchiveWriter writer(sink);
+        const std::size_t header = sink.size();
+        ArchiveFieldOptions opts;
+        opts.eb = eb;
+        opts.codec = codec;
+        try {
+          writer.add_field(field, opts);
+          ADD_FAILURE() << tag << ": a NaN field was accepted";
+        } catch (const InvalidArgument& e) {
+          EXPECT_NE(std::string(e.what()).find("517"), std::string::npos)
+              << tag << ": " << e.what();
+        }
+        EXPECT_EQ(sink.size(), header) << tag;
+      }
+      EXPECT_FALSE(std::filesystem::exists(path)) << tag;
+      EXPECT_FALSE(std::filesystem::exists(path + ".tmp")) << tag;
+    }
+  }
+}
+
 TEST(Zfp, SmoothDataBeatsWhiteNoise) {
   Rng rng(9);
   F32Array noise_a(Shape{64, 64});
